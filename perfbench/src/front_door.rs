@@ -7,14 +7,15 @@
 //! remaining thread and sends open loop: Poisson arrivals at a fixed
 //! absolute rate, each request timed from when it was due. The hottest
 //! principals exhaust their allowance, so a deterministic budget-refusal
-//! path runs beside the serve path. A closed-loop phase before it sends
-//! the same request back to back from one client for `capacity_rps`.
+//! path runs beside the serve path. Before each tenth of the open loop,
+//! the same thread sends the same request back to back as one
+//! closed-loop client, for `capacity_rps`.
 
 use crate::gen::{poisson_offsets, schedule, zipfian_principal};
 use crate::procfs;
 use crate::report::{Outcome, Phase};
 use crate::setup::{dyadic, err, write_book, Config, Res};
-use crate::stats::{median, windowed_percentile};
+use crate::stats::{favourable, median, windowed_percentile};
 use crate::storage::PageCacheStorage;
 use crate::trace::{Trace, Tracer};
 use sampcert_core::{
@@ -25,6 +26,7 @@ use sampcert_mechanisms::count_request;
 use sampcert_rt::{block_on, Ingress, Runtime};
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -36,10 +38,16 @@ const BASE: f64 = 1.0 / 256.0;
 const ALLOWANCE: f64 = 2.0;
 /// Open-loop arrival rate, requests per second.
 const RATE: f64 = 5_000.0;
-/// Ingress capacity, and the admission depth bound.
-const QUEUE: usize = 1024;
+/// Ingress capacity, and the admission depth bound: 1.6 s of arrivals,
+/// so a stall of the journal's filesystem delays requests rather than
+/// shedding them.
+const QUEUE: usize = 8192;
 const DB_ROWS: u32 = 256;
-const SETUP_REPS: usize = 21;
+/// Set-ups repeated in each round, beside the one that serves.
+const SETUPS_PER_ROUND: usize = 2;
+/// Closed-loop slices and open-loop segments alternate this many times,
+/// so both sample the whole run: the host's speed drifts over seconds.
+const ROUNDS: usize = 10;
 
 type Door = Session<PureDp, Dyadic, DurableRegistry<PureDp, Dyadic, PageCacheStorage>, Inline>;
 type CountReq = Request<PureDp, u32, i64>;
@@ -96,6 +104,7 @@ struct Job {
 }
 
 struct Done {
+    idx: u64,
     principal: u64,
     kind: Kind,
     answer: i64,
@@ -103,12 +112,14 @@ struct Done {
     done: Instant,
 }
 
-/// One runtime task: pop, admit, serve, until the queue closes.
+/// One runtime task: pop, admit, serve, count it `finished`, until the
+/// queue closes.
 async fn consume(
     queue: Ingress<Job>,
     door: Arc<Mutex<Door>>,
     req: Arc<CountReq>,
     db: Arc<Vec<u32>>,
+    finished: Arc<AtomicU64>,
     mut tracer: Tracer,
 ) -> (Vec<Done>, Tracer) {
     let mut out = Vec::new();
@@ -149,7 +160,11 @@ async fn consume(
             Ok(a) => (Kind::Served, a),
             Err(e) => (classify(&e), 0),
         };
+        // A progress count only: the outcome itself returns through the
+        // task's join, so nothing is published with it.
+        finished.fetch_add(1, Ordering::Relaxed);
         out.push(Done {
+            idx: job.idx,
             principal: job.principal,
             kind,
             answer,
@@ -177,32 +192,33 @@ fn wait_until(due: Instant) {
 
 pub fn run(cfg: &Config) -> Res<Outcome> {
     let mut out = Outcome::default();
-    let (open_secs, cap_secs, reps) = if cfg.mini {
-        (0.6, 0.2, 1)
+    let (open_secs, cap_secs, setups_per_round) = if cfg.mini {
+        (0.6, 0.2, 0)
     } else {
-        (cfg.seconds * 0.8, cfg.seconds * 0.2, SETUP_REPS)
+        (cfg.seconds * 0.6, cfg.seconds * 0.4, SETUPS_PER_ROUND)
     };
     let allowance = dyadic(ALLOWANCE);
     let base = dyadic(BASE);
     let journal = cfg.work.join("front_door.journal");
     write_book(&journal, &allowance, PRINCIPALS, |_| base.clone())?;
+    // The same book again, for the repeated set-ups: the live session
+    // appends to the first.
+    let setup_journal = cfg.work.join("front_door.setup.journal");
+    write_book(&setup_journal, &allowance, PRINCIPALS, |_| base.clone())?;
     let workers = cfg.nproc.saturating_sub(1).max(1);
 
     // Set-up: a server start — replay the book, build the session, start
-    // the runtime. Repeated, and the median reported; the last one serves.
-    let mut setups = Vec::new();
-    let mut served_by = None;
-    for _ in 0..reps {
-        drop(served_by.take());
+    // the runtime. This one serves; the rest, spread over the rounds, are
+    // dropped again, and the median of all of them is reported.
+    let server_start = |journal: &Path| -> Res<(f64, Ingress<Job>, Door, Runtime)> {
         let t0 = Instant::now();
         let queue: Ingress<Job> = Ingress::bounded(QUEUE);
-        let door = open_door(&journal, cfg.seed, allowance.clone(), queue.gauge())?;
+        let door = open_door(journal, cfg.seed, allowance.clone(), queue.gauge())?;
         let runtime = Runtime::new(workers);
-        setups.push(t0.elapsed().as_secs_f64());
-        served_by = Some((queue, door, runtime));
-    }
-    let (queue, door, runtime) = served_by.expect("at least one set-up");
-    out.e2e.push(("setup_s", median(&setups).unwrap_or(0.0)));
+        Ok((t0.elapsed().as_secs_f64(), queue, door, runtime))
+    };
+    let (setup, queue, door, runtime) = server_start(&journal)?;
+    let mut setups = vec![setup];
 
     // Inputs, all from the seed.
     let n = (RATE * open_secs) as usize;
@@ -215,11 +231,10 @@ pub fn run(cfg: &Config) -> Res<Outcome> {
     let db: Arc<Vec<u32>> = Arc::new((0..DB_ROWS).map(|_| rows(1 << 20) as u32).collect());
     let req: Arc<CountReq> = Arc::new(count_request::<PureDp, u32>(1, 1));
 
-    // Closed loop first, one client, an allowance nothing exhausts. The
-    // session starts from the same book, so the registry — and with it the
-    // cost of the journal's periodic snapshot — stays the same size through
-    // the phase. Going first, it also absorbs any filesystem write-back
-    // left by whatever ran before: a stall costs it no CPU time.
+    // The closed loop: one client, an allowance nothing exhausts, on a
+    // session started from the same book, so the registry — and with it
+    // the cost of the journal's periodic snapshot — stays the same size
+    // through the run.
     let cap_journal = cfg.work.join("front_door.capacity.journal");
     let cap_allowance = dyadic(f64::from(1u32 << 30));
     write_book(&cap_journal, &cap_allowance, PRINCIPALS, |_| base.clone())?;
@@ -229,28 +244,17 @@ pub fn run(cfg: &Config) -> Res<Outcome> {
         cap_allowance,
         IngressGauge::new(),
     )?;
-    let mut rnd = schedule(cfg.seed ^ 0xC0FFEE);
+    let mut cap_rnd = schedule(cfg.seed ^ 0xC0FFEE);
     let (mut cap_sent, mut cap_served) = (0u64, 0u64);
-    let deadline = Instant::now() + Duration::from_secs_f64(cap_secs);
-    let cap_cpu0 = procfs::thread_cpu_s();
-    while Instant::now() < deadline {
-        let p = zipfian_principal(&mut rnd, PRINCIPALS);
-        cap_sent += 1;
-        cap_served += u64::from(block_on(cap_door.answer_for_async(p, &req, &db)).is_ok());
-    }
-    // Requests per second of the client's own CPU time: the rate one core
-    // sustains, not counting time the hypervisor had the vCPU elsewhere.
-    let capacity = cap_sent as f64 / (procfs::thread_cpu_s() - cap_cpu0);
-    out.phases.push(Phase {
-        name: "capacity",
-        sent: cap_sent,
-        served: cap_served,
-        refused: 0,
-        failed: cap_sent - cap_served,
-    });
+    // The closed loop is timed in checkpoint cycles: each holds the same
+    // number of charges and exactly one journal checkpoint, whatever the
+    // phase the cycle starts at.
+    let cycle = DurableOptions::default().checkpoint_every;
+    let mut cycle_cpu_s = Vec::new();
 
-    // Open loop.
+    // The open loop.
     let door = Arc::new(Mutex::new(door));
+    let finished = Arc::new(AtomicU64::new(0));
     let gauge = queue.gauge();
     let handles: Vec<_> = (0..workers)
         .map(|_| {
@@ -259,6 +263,7 @@ pub fn run(cfg: &Config) -> Res<Outcome> {
                 Arc::clone(&door),
                 Arc::clone(&req),
                 Arc::clone(&db),
+                Arc::clone(&finished),
                 Tracer::new(cfg.trace, cfg.epoch),
             ))
         })
@@ -267,37 +272,72 @@ pub fn run(cfg: &Config) -> Res<Outcome> {
     let mut late_us = Vec::with_capacity(n);
     let mut door_sheds = Vec::new();
     let mut depth_max = 0usize;
+    let (mut next, mut pushed_total, mut open_wall) = (0usize, 0u64, 0.0f64);
+    let segment = open_secs / ROUNDS as f64;
     let cpu0 = procfs::process_cpu_s();
     let gen_cpu0 = procfs::thread_cpu_s();
-    let start = Instant::now() + Duration::from_millis(1);
-    for (i, (&offset, &principal)) in offsets.iter().zip(&picks).enumerate() {
-        let due = start + offset;
-        wait_until(due);
-        let pushed = Instant::now();
-        late_us.push((pushed - due).as_secs_f64() * 1e6);
-        depth_max = depth_max.max(gauge.depth());
-        let job = Job {
-            idx: i as u64,
-            principal,
-            due,
-            pushed,
-        };
-        if let Err(shed) = queue.try_push(job) {
-            door_sheds.push(Done {
-                principal: shed.item.principal,
-                kind: Kind::DoorShed,
-                answer: 0,
-                due,
-                done: pushed,
-            });
+    for round in 0..ROUNDS {
+        for _ in 0..setups_per_round {
+            setups.push(server_start(&setup_journal)?.0);
         }
-        gen.record(
-            "rt.ingress.push",
-            Some("request"),
-            i as u64,
-            pushed,
-            Instant::now(),
-        );
+
+        // A closed-loop slice, while the open loop's queue is empty.
+        let deadline = Instant::now() + Duration::from_secs_f64(cap_secs / ROUNDS as f64);
+        let mut cycle_start = procfs::thread_cpu_s();
+        while Instant::now() < deadline {
+            for _ in 0..cycle {
+                let p = zipfian_principal(&mut cap_rnd, PRINCIPALS);
+                cap_sent += 1;
+                cap_served += u64::from(block_on(cap_door.answer_for_async(p, &req, &db)).is_ok());
+            }
+            let cycle_end = procfs::thread_cpu_s();
+            cycle_cpu_s.push(cycle_end - cycle_start);
+            cycle_start = cycle_end;
+        }
+
+        // The open-loop segment: the schedule's arrivals due in this
+        // round's share of it (the last round takes the rest), shifted to
+        // start now, then drained.
+        let from = Duration::from_secs_f64(segment * round as f64);
+        let to = Duration::from_secs_f64(segment * (round + 1) as f64);
+        let start = Instant::now() + Duration::from_millis(1);
+        while next < n && (round + 1 == ROUNDS || offsets[next] < to) {
+            let (i, principal) = (next, picks[next]);
+            next += 1;
+            let due = start + (offsets[i] - from);
+            wait_until(due);
+            let pushed = Instant::now();
+            late_us.push((pushed - due).as_secs_f64() * 1e6);
+            depth_max = depth_max.max(gauge.depth());
+            let job = Job {
+                idx: i as u64,
+                principal,
+                due,
+                pushed,
+            };
+            match queue.try_push(job) {
+                Ok(()) => pushed_total += 1,
+                Err(shed) => door_sheds.push(Done {
+                    idx: shed.item.idx,
+                    principal: shed.item.principal,
+                    kind: Kind::DoorShed,
+                    answer: 0,
+                    due,
+                    done: pushed,
+                }),
+            }
+            gen.record(
+                "rt.ingress.push",
+                Some("request"),
+                i as u64,
+                pushed,
+                Instant::now(),
+            );
+        }
+        while finished.load(Ordering::Relaxed) < pushed_total {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        open_wall += start.elapsed().as_secs_f64();
     }
     queue.close();
     let mut done = door_sheds;
@@ -308,10 +348,24 @@ pub fn run(cfg: &Config) -> Res<Outcome> {
         done.extend(d);
         trace.absorb(t);
     }
+    // The workers' CPU: the generator thread also ran the closed loop.
     let cpu = procfs::process_cpu_s() - cpu0 - (procfs::thread_cpu_s() - gen_cpu0);
-    let last_done = done.iter().map(|d| d.done).max().unwrap_or(start);
-    let open_wall = last_done.saturating_duration_since(start).as_secs_f64();
     drop(runtime);
+    out.e2e.push(("setup_s", median(&setups).unwrap_or(0.0)));
+
+    // Requests per second of the client's own CPU time, per cycle, at
+    // the favourable decile: the rate one core sustains, not counting
+    // time the hypervisor had the vCPU elsewhere.
+    let rates: Vec<f64> = cycle_cpu_s.iter().map(|c| cycle as f64 / c).collect();
+    let capacity = favourable(&rates, true).unwrap_or(f64::NAN);
+    out.timing("capacity.cycle_rps", rates);
+    out.phases.push(Phase {
+        name: "capacity",
+        sent: cap_sent,
+        served: cap_served,
+        refused: 0,
+        failed: cap_sent - cap_served,
+    });
 
     let mut kinds: HashMap<Kind, u64> = HashMap::new();
     for d in &done {
@@ -328,13 +382,13 @@ pub fn run(cfg: &Config) -> Res<Outcome> {
         refused,
         failed: sent - served - refused,
     });
-    // (due time into the phase, latency from due) of served requests.
+    // (due time into the schedule, latency from due) of served requests.
     let latency: Vec<(f64, f64)> = done
         .iter()
         .filter(|d| d.kind == Kind::Served)
         .map(|d| {
             (
-                (d.due - start).as_secs_f64(),
+                offsets[d.idx as usize].as_secs_f64(),
                 (d.done - d.due).as_secs_f64() * 1e6,
             )
         })
@@ -396,7 +450,7 @@ pub fn run(cfg: &Config) -> Res<Outcome> {
         .push(("cpu_us_per_req", cpu * 1e6 / served.max(1) as f64));
     out.e2e.push(("refused_rate", refused as f64 / sent as f64));
     out.e2e.push(("charges_per_s", served as f64 / open_wall));
-    // The worst stall, and when in the phase it struck.
+    // The worst stall, and when in the schedule it struck.
     if let Some(&(at, worst)) = latency.iter().max_by(|a, b| a.1.total_cmp(&b.1)) {
         out.notes.push(("front_door.max_latency_us", worst));
         out.notes.push(("front_door.max_latency_due_s", at));
@@ -452,5 +506,6 @@ pub fn run(cfg: &Config) -> Res<Outcome> {
     drop(cap_door);
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&cap_journal);
+    let _ = std::fs::remove_file(&setup_journal);
     Ok(out)
 }

@@ -70,17 +70,32 @@ impl Summary {
 }
 
 /// Windows a measured phase is split into for the windowed statistics.
-pub const WINDOWS: usize = 10;
+pub const WINDOWS: usize = 15;
+
+/// The percentile, counted from the good end, at which a statistic over
+/// windows or cycles is read. On a shared host the machine's speed flips
+/// between levels every few seconds; a median over windows lands on
+/// whichever level a run happened to favour, while the favourable decile
+/// reads the faster level in every run that has one.
+const FAVOURABLE_PCT: f64 = 10.0;
+
+/// The favourable decile of `values`: the nearest-rank 90th percentile
+/// when higher is better, the 10th when lower is. `None` when empty.
+pub fn favourable(values: &[f64], higher_is_better: bool) -> Option<f64> {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let p = if higher_is_better {
+        100.0 - FAVOURABLE_PCT
+    } else {
+        FAVOURABLE_PCT
+    };
+    percentile(&v, p)
+}
 
 /// Splits `(t, x)` samples (`t` in `[0, span)`) into [`WINDOWS`] equal
-/// windows by `t`, applies `stat` to each window's values, and returns
-/// the median over the windows that yield a value — so one transient
-/// stall of the host moves at most one window.
-fn windowed(
-    samples: &[(f64, f64)],
-    span: f64,
-    stat: impl Fn(Vec<f64>) -> Option<f64>,
-) -> Option<f64> {
+/// windows by `t` and applies `stat` to each window's values; the
+/// windows that yield a value, in order.
+fn windowed(samples: &[(f64, f64)], span: f64, stat: impl Fn(Vec<f64>) -> Option<f64>) -> Vec<f64> {
     let mut bins = vec![Vec::new(); WINDOWS];
     for &(t, x) in samples {
         let w = ((t / span) * WINDOWS as f64).floor();
@@ -88,29 +103,33 @@ fn windowed(
             bins[w as usize].push(x);
         }
     }
-    let per_window: Vec<f64> = bins.into_iter().filter_map(stat).collect();
-    median(&per_window)
+    bins.into_iter().filter_map(stat).collect()
 }
 
-/// Median over windows of each window's nearest-rank `p`-th percentile,
-/// read at the highest percentile up to `p` that keeps ten samples
-/// beyond it.
+/// Each window's nearest-rank `p`-th percentile, over the windows with
+/// at least ten samples beyond it; the favourable (lowest) decile of
+/// those.
 pub fn windowed_percentile(samples: &[(f64, f64)], span: f64, p: f64) -> Option<f64> {
-    windowed(samples, span, |mut v| {
+    let per_window = windowed(samples, span, |mut v| {
+        if tail_percentile(v.len())? < p {
+            return None;
+        }
         v.sort_by(f64::total_cmp);
-        percentile(&v, p.min(tail_percentile(v.len())?))
-    })
+        percentile(&v, p)
+    });
+    favourable(&per_window, false)
 }
 
-/// Median over windows of events per second, from event times in
-/// `[0, span)`.
+/// Events per second in each window with at least two, from ascending
+/// event times in `[0, span)`: the gaps between its first and last event
+/// over the time they took. The favourable (highest) decile of those.
 pub fn windowed_rate(times: &[f64], span: f64) -> Option<f64> {
-    if times.is_empty() {
-        return None;
-    }
-    let samples: Vec<(f64, f64)> = times.iter().map(|&t| (t, 1.0)).collect();
-    let len = span / WINDOWS as f64;
-    windowed(&samples, span, |v| Some(v.len() as f64 / len))
+    let samples: Vec<(f64, f64)> = times.iter().map(|&t| (t, t)).collect();
+    let per_window = windowed(&samples, span, |v| {
+        let (first, last) = (v.first()?, v.last()?);
+        (last > first).then(|| (v.len() - 1) as f64 / (last - first))
+    });
+    favourable(&per_window, true)
 }
 
 #[cfg(test)]
@@ -144,12 +163,25 @@ mod tests {
     }
 
     #[test]
-    fn windowed_statistics_ignore_one_stalled_window() {
-        // 10 windows of 2000 samples; window 3 is a stall 1000× slower.
-        let samples: Vec<(f64, f64)> = (0..20_000)
+    fn favourable_deciles_read_the_better_level() {
+        // Two levels, the better one in 2 of 15 windows.
+        let times: Vec<f64> = (0..15)
+            .map(|w| if w % 8 == 0 { 1.0 } else { 2.0 })
+            .collect();
+        assert_eq!(favourable(&times, false), Some(1.0));
+        let rates: Vec<f64> = times.iter().map(|t| 1.0 / t).collect();
+        assert_eq!(favourable(&rates, true), Some(1.0));
+        assert_eq!(favourable(&[], true), None);
+    }
+
+    #[test]
+    fn windowed_statistics_ignore_stalled_windows() {
+        // 15 windows of 1000 samples; windows 3 and 4 are a stall 1000×
+        // slower.
+        let samples: Vec<(f64, f64)> = (0..15_000)
             .map(|i| {
-                let t = i as f64 / 20_000.0;
-                let slow = (0.3..0.4).contains(&t);
+                let t = i as f64 / 15_000.0;
+                let slow = (0.2..1.0 / 3.0).contains(&t);
                 (
                     t,
                     if slow {
@@ -162,8 +194,15 @@ mod tests {
             .collect();
         assert_eq!(windowed_percentile(&samples, 1.0, 99.0), Some(1.98));
         assert_eq!(windowed_percentile(&samples, 1.0, 50.0), Some(1.49));
-        let times: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0 * 2.0).collect();
-        assert_eq!(windowed_rate(&times, 2.0), Some(500.0));
+        // 100 events in each window of 2/15 s, fewer in two of them.
+        let times: Vec<f64> = (0..1500)
+            .filter(|i| !(300..500).contains(i) || i % 2 == 0)
+            .map(|i| (i as f64 + 0.5) / 1500.0 * 2.0)
+            .collect();
+        let rate = windowed_rate(&times, 2.0).unwrap();
+        assert!((rate - 750.0).abs() < 1e-6, "{rate}");
+        // Windows too small for a p99 are skipped, not read lower.
+        assert_eq!(windowed_percentile(&samples[..500], 1.0 / 30.0, 99.0), None);
         assert_eq!(windowed_rate(&[], 2.0), None);
     }
 
