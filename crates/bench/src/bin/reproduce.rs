@@ -206,7 +206,7 @@ fn batch(args: &[String]) {
 }
 
 /// Runs the concurrent-serving measurement set and updates
-/// `BENCH_serve.json` — raw serving throughput vs worker count, sharded
+/// `BENCH_serve.json` — raw serving throughput vs lane count, sharded
 /// vs global-mutex metering, deterministic vs OS-entropy backends. Same
 /// labeled merge workflow as [`arith`]; `--quick` shrinks the per-call
 /// sample count for smoke runs.
@@ -222,7 +222,7 @@ fn serve(args: &[String]) {
     let get = |n: &str| rows.iter().find(|(name, _)| *name == n).map(|(_, v)| *v);
     if let (Some(t1), Some(t8)) = (get("serve_gauss64_det_t1"), get("serve_gauss64_det_t8")) {
         println!(
-            "8-worker serving throughput = {:.2}x single-worker (host_parallelism {})",
+            "8-lane serving throughput = {:.2}x single-lane (host_parallelism {})",
             t1 / t8,
             get("host_parallelism").unwrap_or(1.0)
         );

@@ -3,11 +3,13 @@
 //!
 //! This is the measurement set behind `BENCH_serve.json`:
 //!
-//! - `serve_gauss64_det_t{1,2,4,8}`: σ = 64 Gaussian noise served through
-//!   a [`NoiseServer`] at 1/2/4/8 workers with the deterministic
-//!   split-seed backend — the throughput-vs-thread-count curve;
-//! - `serve_gauss64_os_t{1,8}`: the same serving with per-worker OS
-//!   entropy — the seed-backend attribution;
+//! - `serve_gauss64_det_t{1,2,4,8}`: σ = 64 Gaussian noise requests
+//!   ([`Request::noise`]) served through an [`RtExecutor`] at 1/2/4/8
+//!   lanes via [`Executor::run_into`], seeded with a split-seed root —
+//!   the throughput-vs-lane-count curve. Each draw pays the mechanism
+//!   tier's per-draw cost on top of the sampler's;
+//! - `serve_gauss64_os_t{1,8}`: the same serving with per-lane OS
+//!   entropy — the entropy-backend attribution;
 //! - `metered_sharded_f64_t{1,8}` vs `metered_mutex_f64_t{1,8}`: a
 //!   request loop (512-draw requests, each charged before serving)
 //!   metered by a [`ShardedLedger`] (lock-free local charges) vs a global
@@ -33,10 +35,6 @@
 //!   fsynced per charge vs group-committed (one leader fsync per batch,
 //!   followers acknowledged at their stable LSN) — the group-commit
 //!   speedup the durability tier ships with;
-//! - `charge_durable_group_time_t8`: the same group commit with the
-//!   time-based adaptive gather window (`GatherWindow::Adaptive`,
-//!   200 µs ceiling) instead of the yield-counted default — the two
-//!   gather strategies measured side by side at t = 8;
 //! - `charge_registry_1m` + `registry_1m_build_ns_per_principal` +
 //!   `registry_1m_rss_bytes_per_principal`: the million-principal
 //!   capacity tier — zipfian-skewed concurrent charges against a fully
@@ -64,10 +62,10 @@
 
 use sampcert_arith::Nat;
 use sampcert_core::{
-    Budget, BudgetRegistry, DurableRegistry, Dyadic, FileStorage, GatherWindow, Ledger, MemStorage,
-    PureDp, ShardedLedger,
+    Budget, BudgetRegistry, DurableRegistry, Dyadic, Entropy, Executor, FileStorage, Ledger,
+    MemStorage, PureDp, Request, ShardedLedger, Zcdp,
 };
-use sampcert_mechanisms::{NoiseServer, SeedBackend, ServeConfig};
+use sampcert_rt::RtExecutor;
 use sampcert_samplers::{discrete_gaussian_many_into, LaplaceAlg};
 use sampcert_slang::SplitSeed;
 use std::sync::Mutex;
@@ -108,13 +106,16 @@ fn ns_per_sample(n: usize, reps: usize, mut serve: impl FnMut(usize)) -> f64 {
     runs[runs.len() / 2]
 }
 
-/// Raw serving throughput through a [`NoiseServer`].
-fn serve_row(workers: usize, seed: SeedBackend, n: usize, reps: usize) -> f64 {
-    let mut server = NoiseServer::new(ServeConfig { workers, seed });
-    let num = Nat::from(SIGMA);
-    let den = Nat::one();
+/// Raw noise-serving throughput through an [`RtExecutor`].
+fn serve_row(lanes: usize, entropy: Entropy, n: usize, reps: usize) -> f64 {
+    let mut executor = RtExecutor::new(entropy, lanes);
+    let noise: Request<Zcdp, (), i64> = Request::noise(SIGMA, 1);
+    let mut out = Vec::new();
     ns_per_sample(n, reps, move |k| {
-        let out = server.gaussian_noise_many(&num, &den, LaplaceAlg::Switched, k);
+        out.clear();
+        executor
+            .run_into(noise.mechanism(), &[], k, &mut out)
+            .expect("the draw plane does not fail");
         std::hint::black_box(out.len());
     })
 }
@@ -323,30 +324,20 @@ fn charge_durable_fsync_row(n: usize, reps: usize) -> f64 {
 /// rows is the committed group-commit speedup — visible even on a
 /// 1-core host, because the fsync wait is time the other threads spend
 /// enqueuing rather than idling.
-fn charge_durable_file_row(
-    workers: usize,
-    group: bool,
-    gather: Option<GatherWindow>,
-    n: usize,
-    reps: usize,
-) -> f64 {
+fn charge_durable_file_row(workers: usize, group: bool, n: usize, reps: usize) -> f64 {
     let dir = std::env::temp_dir().join(format!(
-        "sampcert-bench-group-{}-{group}-{}",
+        "sampcert-bench-group-{}-{group}",
         std::process::id(),
-        gather.is_some(),
     ));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let ns = ns_per_sample(n, reps, |k| {
         let path = dir.join("bench.scjl");
         let _ = std::fs::remove_file(&path);
         let storage = FileStorage::open(&path).expect("open journal file");
-        let mut registry: DurableRegistry<PureDp, Dyadic, FileStorage> =
+        let registry: DurableRegistry<PureDp, Dyadic, FileStorage> =
             DurableRegistry::create(1e9, workers, storage)
                 .expect("create journal")
                 .with_group_commit(group);
-        if let Some(window) = gather {
-            registry = registry.with_gather_window(window);
-        }
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let registry = &registry;
@@ -471,7 +462,7 @@ fn journal_compaction_rows(quick: bool) -> Vec<(&'static str, f64)> {
 pub fn measure_all(quick: bool) -> Vec<(&'static str, f64)> {
     let n = samples_per_call(quick);
     let reps = if quick { 3 } else { 5 };
-    let det = |t| SeedBackend::Deterministic(0xD15C0 ^ t as u64);
+    let det = |t| Entropy::seeded(0xD15C0 ^ t as u64);
     let host_parallelism = std::thread::available_parallelism().map_or(1.0, |p| p.get() as f64);
     vec![
         ("host_parallelism", host_parallelism),
@@ -489,14 +480,8 @@ pub fn measure_all(quick: bool) -> Vec<(&'static str, f64)> {
         ("serve_gauss64_det_t2", serve_row(2, det(2), n, reps)),
         ("serve_gauss64_det_t4", serve_row(4, det(4), n, reps)),
         ("serve_gauss64_det_t8", serve_row(8, det(8), n, reps)),
-        (
-            "serve_gauss64_os_t1",
-            serve_row(1, SeedBackend::OsEntropy, n, reps),
-        ),
-        (
-            "serve_gauss64_os_t8",
-            serve_row(8, SeedBackend::OsEntropy, n, reps),
-        ),
+        ("serve_gauss64_os_t1", serve_row(1, Entropy::Os, n, reps)),
+        ("serve_gauss64_os_t8", serve_row(8, Entropy::Os, n, reps)),
         (
             "metered_sharded_f64_t1",
             metered_sharded_row::<f64>(1, n, reps),
@@ -538,25 +523,11 @@ pub fn measure_all(quick: bool) -> Vec<(&'static str, f64)> {
         // `fsync_t8 / group_t8` is the committed group-commit speedup.
         (
             "charge_durable_fsync_t8",
-            charge_durable_file_row(8, false, None, n / 16, reps),
+            charge_durable_file_row(8, false, n / 16, reps),
         ),
         (
             "charge_durable_group_t8",
-            charge_durable_file_row(8, true, None, n / 16, reps),
-        ),
-        // The same group commit with the time-based adaptive gather
-        // window instead of the yield-counted one: the leader keeps
-        // gathering followers against a wall-clock deadline, trading a
-        // bounded latency slice for fuller batches.
-        (
-            "charge_durable_group_time_t8",
-            charge_durable_file_row(
-                8,
-                true,
-                Some(GatherWindow::Adaptive { max_micros: 200 }),
-                n / 16,
-                reps,
-            ),
+            charge_durable_file_row(8, true, n / 16, reps),
         ),
     ]
     .into_iter()
@@ -572,7 +543,7 @@ mod tests {
     #[test]
     fn rows_measure_and_are_positive() {
         let rows = measure_all(true);
-        assert_eq!(rows.len(), 26);
+        assert_eq!(rows.len(), 25);
         for (name, v) in &rows {
             // Two rows may legitimately read zero: the degenerate-scaling
             // flag on a multi-core host, and the RSS delta when the

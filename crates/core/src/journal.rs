@@ -190,7 +190,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Seek, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 /// Record kinds (first payload byte).
 const KIND_HEADER: u8 = 0x00;
@@ -1391,45 +1390,13 @@ impl CompactionPolicy {
     }
 }
 
-/// How long a group-commit leader holds its batch open for peers to
-/// enqueue behind it (see "Group commit" in the module docs).
-///
-/// The window trades a few µs of added latency for wider batches — each
-/// extra member is one fewer fsync. [`Yields`](Self::Yields) spends
-/// scheduler slices and is tuned for oversubscribed hosts (chargers share
-/// cores with the leader, so a yield is exactly what lets them run);
-/// [`Adaptive`](Self::Adaptive) waits wall-clock slices against a hard
-/// deadline and closes as soon as a slice passes with no new arrivals —
-/// the better fit when chargers run on their own cores and a yield is a
-/// no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatherWindow {
-    /// Yield the leader's scheduler slice up to this many times, closing
-    /// early when a slice passes with no new enqueues. The default is
-    /// `Yields(4)`.
-    Yields(u32),
-    /// Time-based adaptive window: wait in short slices (an eighth of the
-    /// cap each) against a deadline of `max_micros`, closing as soon as a
-    /// slice sees no new enqueues.
-    Adaptive {
-        /// Hard cap on how long the batch is held open, in microseconds.
-        max_micros: u64,
-    },
-}
-
-impl Default for GatherWindow {
-    fn default() -> Self {
-        GatherWindow::Yields(4)
-    }
-}
-
 /// Tunables for a [`DurableRegistry`], applied via
 /// [`with_options`](DurableRegistry::with_options) or the session
 /// builder's `.durable_with_policy(path, options)`.
 ///
 /// The default is the recommended serving configuration: group commit
-/// **on** with the yield-based gather window, the standard checkpoint
-/// cadence, compaction off (opt in with a [`CompactionPolicy`]). Note
+/// **on**, the standard checkpoint cadence, compaction off (opt in with a
+/// [`CompactionPolicy`]). Note
 /// that `DurableRegistry::create`/`open` themselves default to the serial
 /// fsync-per-charge path for compatibility; options are how callers opt
 /// into batching.
@@ -1438,8 +1405,6 @@ pub struct DurableOptions {
     /// Batch concurrent charges into one fsync (see "Group commit" in
     /// the module docs).
     pub group_commit: bool,
-    /// How long a batch leader holds the batch open for peers.
-    pub gather: GatherWindow,
     /// Charges between periodic checkpoint records.
     pub checkpoint_every: u64,
     /// When to compact the journal automatically.
@@ -1450,7 +1415,6 @@ impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
             group_commit: true,
-            gather: GatherWindow::default(),
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             compaction: CompactionPolicy::disabled(),
         }
@@ -1469,12 +1433,6 @@ impl DurableOptions {
     /// Sets whether concurrent charges share fsyncs.
     pub fn group_commit(mut self, enabled: bool) -> Self {
         self.group_commit = enabled;
-        self
-    }
-
-    /// Sets the gather window a batch leader holds open for peers.
-    pub fn gather_window(mut self, window: GatherWindow) -> Self {
-        self.gather = window;
         self
     }
 
@@ -1507,7 +1465,6 @@ struct DurableCore<D: AbstractDp, B: Budget, S: JournalStorage> {
     latch: Latch,
     checkpoint_every: u64,
     group_commit: bool,
-    gather: GatherWindow,
     compaction: CompactionPolicy,
     /// Best-effort log size / appended-record counters feeding the
     /// compaction policy (reset by compaction, approximate after
@@ -1518,6 +1475,10 @@ struct DurableCore<D: AbstractDp, B: Budget, S: JournalStorage> {
 
 /// Default charge count between checkpoint snapshots.
 const DEFAULT_CHECKPOINT_EVERY: u64 = 1024;
+
+/// How many times a group-commit leader yields its scheduler slice to let
+/// peers enqueue behind it before it takes the batch.
+const GATHER_YIELDS: u32 = 4;
 
 impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableCore<D, B, S> {
     /// Creates a fresh durable registry over empty storage, writing and
@@ -1586,7 +1547,6 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableCore<D, B, S> {
             latch: Latch::new(),
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             group_commit: false,
-            gather: GatherWindow::default(),
             compaction: CompactionPolicy::disabled(),
             log_bytes: AtomicU64::new(log_bytes),
             log_records: AtomicU64::new(log_records),
@@ -1722,17 +1682,10 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableCore<D, B, S> {
         self
     }
 
-    /// Returns this registry with a different group-commit gather window.
-    pub fn with_gather_window(mut self, window: GatherWindow) -> Self {
-        self.gather = window;
-        self
-    }
-
     /// Applies a whole [`DurableOptions`] at once.
     pub fn with_options(self, options: DurableOptions) -> Self {
         self.with_checkpoint_every(options.checkpoint_every)
             .with_group_commit(options.group_commit)
-            .with_gather_window(options.gather)
             .with_compaction(options.compaction)
     }
 
@@ -1962,43 +1915,18 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableCore<D, B, S> {
         // woken a moment ago and are about to charge again. Without
         // this, the leader races ahead of its just-woken peers and the
         // steady state degenerates into two half batches per cycle
-        // (each paying a full fsync). Either shape closes as soon as a
-        // slice passes with no new arrivals, capped so a steady stream
-        // of enqueuers cannot hold the batch open; the few-µs cost is
-        // noise against the ~100µs fsync it amortizes.
-        match self.gather {
-            GatherWindow::Yields(cap) => {
-                for _ in 0..cap {
-                    let before = g.enqueued;
-                    drop(g);
-                    std::thread::yield_now();
-                    g = self.group.lock().expect("group state poisoned");
-                    if g.enqueued == before {
-                        break;
-                    }
-                }
-            }
-            GatherWindow::Adaptive { max_micros } => {
-                // Wall-clock slices against a hard deadline; the timed cv
-                // wait releases the group lock, so peers enqueue freely
-                // while the leader holds the batch open.
-                let deadline = Instant::now() + Duration::from_micros(max_micros);
-                let slice = Duration::from_micros((max_micros / 8).max(1));
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let before = g.enqueued;
-                    g = self
-                        .group_cv
-                        .wait_timeout(g, slice.min(deadline - now))
-                        .expect("group state poisoned")
-                        .0;
-                    if g.enqueued == before {
-                        break;
-                    }
-                }
+        // (each paying a full fsync). The leader yields its scheduler
+        // slice, closing as soon as a yield passes with no new arrivals,
+        // capped so a steady stream of enqueuers cannot hold the batch
+        // open; the few-µs cost is noise against the ~100µs fsync it
+        // amortizes.
+        for _ in 0..GATHER_YIELDS {
+            let before = g.enqueued;
+            drop(g);
+            std::thread::yield_now();
+            g = self.group.lock().expect("group state poisoned");
+            if g.enqueued == before {
+                break;
             }
         }
         let frames = std::mem::take(&mut g.queue);
@@ -2321,7 +2249,6 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> std::fmt::Debug for DurableReg
             .field("registry", &self.core.registry)
             .field("checkpoint_every", &self.core.checkpoint_every)
             .field("group_commit", &self.core.group_commit)
-            .field("gather", &self.core.gather)
             .field("compaction", &self.core.compaction)
             .finish()
     }
@@ -2489,12 +2416,6 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
         Self::wrap(self.into_core().with_group_commit(enabled))
     }
 
-    /// Returns this registry with a different group-commit
-    /// [`GatherWindow`]. [`GatherWindow::Yields`]`(4)` by default.
-    pub fn with_gather_window(self, window: GatherWindow) -> Self {
-        Self::wrap(self.into_core().with_gather_window(window))
-    }
-
     /// Returns this registry with an automatic compaction policy (see
     /// "Compaction" in the module docs), (re)spawning or retiring the
     /// background compactor as needed. Disabled by default.
@@ -2644,6 +2565,7 @@ mod tests {
     use super::*;
     use crate::abstract_dp::PureDp;
     use sampcert_arith::Dyadic;
+    use std::time::{Duration, Instant};
 
     type Exact = DurableRegistry<PureDp, Dyadic, MemStorage>;
 
@@ -3434,41 +3356,6 @@ mod tests {
                 Dyadic::from_f64_ceil(0.125),
                 "principal {p}"
             );
-        }
-    }
-
-    #[test]
-    fn adaptive_gather_window_commits_exactly() {
-        // The time-based window must preserve everything the yield-based
-        // one guarantees: exact spend under concurrent chargers, and a
-        // log whose recovery agrees with what was acknowledged.
-        let storage = MemStorage::new();
-        let reg = Exact::create(100.0, 4, storage.clone())
-            .unwrap()
-            .with_options(
-                DurableOptions::default()
-                    .checkpoint_every(u64::MAX)
-                    .gather_window(GatherWindow::Adaptive { max_micros: 200 }),
-            );
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let reg = &reg;
-                s.spawn(move || {
-                    for _ in 0..25 {
-                        reg.charge(t, 0.0625).unwrap();
-                    }
-                });
-            }
-        });
-        assert!(reg.journal_error().is_none());
-        let expected = Dyadic::from_f64_ceil(0.0625).mul_u64(25);
-        for p in 0..4u64 {
-            assert_eq!(reg.spent_exact(p), expected, "principal {p}");
-        }
-        drop(reg);
-        let (back, _) = Exact::recover(100.0, 4, storage.reopen()).unwrap();
-        for p in 0..4u64 {
-            assert_eq!(back.spent_exact(p), expected, "recovered principal {p}");
         }
     }
 

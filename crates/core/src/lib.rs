@@ -59,8 +59,8 @@ pub use budget::Budget;
 pub use convert::{approx_dp_of, pure_to_renyi, pure_to_zcdp, zcdp_to_renyi};
 pub use journal::{
     replay, CompactionPolicy, DurableChargeError, DurableOptions, DurableRegistry, FaultPlan,
-    FileStorage, GatherWindow, JournalError, JournalStorage, MemStorage, Recovery, RecoveryError,
-    RecoveryReport, ReplaceFault,
+    FileStorage, JournalError, JournalStorage, MemStorage, Recovery, RecoveryError, RecoveryReport,
+    ReplaceFault,
 };
 pub use mechanism::Mechanism;
 pub use neighbour::{insertions, is_neighbour, neighbours, removals};

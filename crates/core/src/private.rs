@@ -136,34 +136,6 @@ impl<D: AbstractDp, T: 'static, U: Value> Private<D, T, U> {
         NoiseBatch::new(self.mech.run_many(db, n, src), self.gamma)
     }
 
-    /// Charges `n` releases of this mechanism to `ledger` and, only if the
-    /// whole batch fits, draws the `n` outputs — the charge-before-serve
-    /// discipline that makes a session meterable *exactly* end-to-end when
-    /// `ledger` is an [`ExactLedger`](crate::ExactLedger) (the γ crosses
-    /// into the carrier rounded up, per the accountant module's rounding
-    /// contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BudgetExceeded`](crate::BudgetExceeded) when the batch
-    /// does not fit; neither the ledger nor the byte source is touched in
-    /// that case (refused noise consumes no entropy).
-    #[deprecated(
-        note = "use Session::answer_many with a Ledger accountant and Request::from_private \
-                (crate::Session) — same charge-before-serve discipline, one front door"
-    )]
-    pub fn run_metered<B: crate::Budget>(
-        &self,
-        db: &[T],
-        n: usize,
-        src: &mut dyn ByteSource,
-        ledger: &mut crate::Ledger<D, B>,
-        label: impl Into<String>,
-    ) -> Result<Vec<U>, crate::BudgetExceeded<B>> {
-        ledger.charge_batch(label, self.gamma, n as u64)?;
-        Ok(self.run_many(db, n, src))
-    }
-
     /// The analytic output distribution for `db`.
     pub fn dist(&self, db: &[T]) -> SubPmf<U, f64> {
         self.mech.dist(db)

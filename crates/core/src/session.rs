@@ -1,12 +1,11 @@
 //! The front door: one typestate [`Session`] over every carrier ×
 //! accountant × executor × entropy combination.
 //!
-//! PRs 2–4 grew the serving surface along three independent axes —
-//! batching (`run_many`/`run_batch`), exact carriers
+//! The serving surface varies along three independent axes — batching
+//! (`run_many`/`run_batch`), exact carriers
 //! (`charge_exact`/[`ExactLedger`](crate::ExactLedger)) and concurrency
-//! ([`ShardedLedger`]/`NoiseServer`) — leaving callers to hand-wire the
-//! combinations through ~20 near-duplicate entry points. A [`Session`]
-//! closes the configuration space behind a single builder:
+//! ([`ShardedLedger`] over a pooled executor). A [`Session`] closes the
+//! configuration space behind a single builder:
 //!
 //! - the budget **carrier** (`f64` or exact
 //!   [`Dyadic`](sampcert_arith::Dyadic)) — [`SessionBuilder::exact`] /
@@ -16,7 +15,7 @@
 //!   [`SessionBuilder::sharded_ledger`], [`SessionBuilder::rdp`],
 //!   [`SessionBuilder::sharded_rdp`];
 //! - the **executor** (the in-core single-lane [`Inline`], or any
-//!   [`SpawnExecutor`] such as `sampcert-mechanisms`' `NoiseServer` pool)
+//!   [`SpawnExecutor`] such as `sampcert-rt`'s `RtExecutor` draw pool)
 //!   — [`SessionBuilder::inline`] / [`SessionBuilder::executor`];
 //! - the **entropy backend** ([`Entropy::Os`] or a replayable
 //!   [`Entropy::Seeded`] split-seed tree) — [`SessionBuilder::entropy`].
@@ -33,8 +32,8 @@
 //! sharded accountant, lanes whose shard admitted its chunk have already
 //! advanced their streams before another shard refused — the drawn noise
 //! is discarded unreleased and the charge stays spent, the conservative
-//! direction). The released bytes are identical to the legacy entry
-//! points' (pinned by `tests/session_api.rs`).
+//! direction). The released bytes are identical to the unmetered
+//! primitives' on the same streams (pinned by `tests/session_api.rs`).
 //!
 //! # The typestate guard
 //!
@@ -489,8 +488,8 @@ impl<B: Budget> From<DurableChargeError<B>> for SessionError<B> {
 
 /// An execution backend: something that can draw `n` independent outputs
 /// of a mechanism. Implemented by the in-core [`Inline`] executor and by
-/// `sampcert-mechanisms`' `NoiseServer` worker pool; future async or
-/// multi-process backends slot in behind the same trait.
+/// `sampcert-rt`'s `RtExecutor` draw pool; future multi-process backends
+/// slot in behind the same trait.
 ///
 /// The contract every implementation honours (and the equivalence suite
 /// pins): the `n` outputs are what `n` sequential
@@ -568,7 +567,7 @@ pub trait ShardedExecutor: Executor {
 /// An [`Executor`] the session builder can construct itself, from the
 /// session's [`Entropy`] choice and a requested lane count — what lets
 /// `SessionBuilder::executor::<E>(lanes)` stay generic over backends the
-/// core crate cannot name (such as `NoiseServer`).
+/// core crate cannot name (such as `sampcert-rt`'s `RtExecutor`).
 pub trait SpawnExecutor: Executor + Sized {
     /// Builds the executor. `lanes` is a request, not a command: a
     /// backend may clamp it (e.g. [`Inline`] always has one lane); the
@@ -999,7 +998,7 @@ impl<B: Budget> ShardedRdpMeter<B> {
 /// The default lane-partition rule of the executor contract
 /// ([`Executor::partition`]): `n` answers split into contiguous per-lane
 /// counts, the first `n % lanes` lanes one longer. Multi-lane backends
-/// (the `NoiseServer` pool) serve by exactly this rule; per-lane
+/// (the `RtExecutor` draw pool) serve by exactly this rule; per-lane
 /// accounting ([`ShardedRdpMeter`]) attributes answers through
 /// [`Executor::partition`], so a backend that partitions differently
 /// overrides that method and attribution follows it.
@@ -1793,9 +1792,8 @@ impl<D: AbstractDp, B: Budget, A> SessionBuilder<D, B, A, NoExecutor> {
     }
 
     /// Any [`SpawnExecutor`] backend, spawned with (up to) `lanes` lanes
-    /// at build time — e.g. `.executor::<NoiseServer>(8)` for the
-    /// `sampcert-mechanisms` worker pool. A `lanes` of zero is clamped to
-    /// one.
+    /// at build time — e.g. `.executor::<RtExecutor>(8)` for the
+    /// `sampcert-rt` draw pool. A `lanes` of zero is clamped to one.
     pub fn executor<E: SpawnExecutor>(self, lanes: usize) -> SessionBuilder<D, B, A, Planned<E>> {
         SessionBuilder {
             accountant: self.accountant,

@@ -24,9 +24,7 @@
 //! directly — the example on [`NoiseBatch`] shows the pattern.
 
 use crate::histogram::Bins;
-use sampcert_core::{
-    Budget, BudgetExceeded, DpNoise, Ledger, Mechanism, NoiseBatch, Query, Request,
-};
+use sampcert_core::{DpNoise, Mechanism, NoiseBatch, Query, Request};
 use sampcert_slang::{ByteSource, SubPmf};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -96,42 +94,6 @@ pub fn histogram_batch<D: DpNoise, T: 'static>(
         counts[b] += noise.run(&[], src);
     }
     counts
-}
-
-/// [`histogram_batch`] behind a ledger: charges the histogram's budget to
-/// `ledger` first and serves it only if the charge fits — refused requests
-/// consume no entropy and release nothing.
-///
-/// Generic in the ledger's [`Budget`] carrier, so the same serving call is
-/// metered by the classic `f64` ledger or **exactly** by an
-/// [`ExactLedger`](sampcert_core::ExactLedger). The charge is recorded as
-/// a `nBins`-release batch of the per-bin cost — the per-release γ crosses
-/// into the carrier rounded up *before* the `nBins`-fold composition, so
-/// the recorded exact total matches what charging the same bins through
-/// any other batch path records, and never under-counts (the accountant's
-/// conservative contract). On the `f64` carrier this composes to exactly
-/// [`histogram_gamma`].
-///
-/// # Errors
-///
-/// Returns [`BudgetExceeded`] when the histogram does not fit in the
-/// remaining budget; the ledger and byte source are unchanged.
-#[deprecated(
-    note = "use Session::answer with histogram_request (sampcert_core::Session) — \
-            same per-bin exact charge, same bytes, one front door"
-)]
-pub fn histogram_batch_metered<D: DpNoise, B: Budget, T: 'static>(
-    bins: &Bins<T>,
-    gamma_num: u64,
-    gamma_den: u64,
-    db: &[T],
-    src: &mut dyn ByteSource,
-    ledger: &mut Ledger<D, B>,
-    label: impl Into<String>,
-) -> Result<Vec<i64>, BudgetExceeded<B>> {
-    let n = bins.n_bins() as u64;
-    ledger.charge_batch(label, D::noise_priv(gamma_num, gamma_den * n), n)?;
-    Ok(histogram_batch::<D, T>(bins, gamma_num, gamma_den, db, src))
 }
 
 /// Answers a workload of queries, each noised at
@@ -311,95 +273,76 @@ mod tests {
         assert!((ledger.spent() - 10.0 * Zcdp::noise_priv(1, 4)).abs() < 1e-12);
     }
 
-    /// The metered histogram must record the same exact charge as any
-    /// other batch path charging the same releases: per-bin γ converted
+    /// A histogram served through the `Session` front door records the
+    /// same exact charge as the per-bin batch charge: per-bin γ converted
     /// (rounded up) first, then composed `nBins`-fold — even when the
     /// per-bin γ is not dyadic and the f64-composed total would round the
     /// other way.
     #[test]
-    // Deliberately exercises the deprecated legacy path: it is the exact
-    // charge reference the Session front door is pinned against.
-    #[allow(deprecated)]
-    fn metered_histogram_charge_matches_per_bin_batch_charge_exactly() {
-        use sampcert_core::{DpNoise, ExactLedger};
+    fn session_histogram_charge_matches_per_bin_batch_charge_exactly() {
+        use crate::histogram::histogram_request;
+        use sampcert_core::{ExactLedger, Session};
 
         // 3 bins at γ = 1/3: per-bin ε = 1/9, non-dyadic in every digit.
         let bins = Bins::new(3, |v: &i64| (*v % 3).unsigned_abs() as usize);
         let db: Vec<i64> = (0..20).collect();
-        let mut metered: ExactLedger<PureDp> = Ledger::new(10.0);
-        let mut src = SeededByteSource::new(33);
-        histogram_batch_metered::<PureDp, _, i64>(&bins, 1, 3, &db, &mut src, &mut metered, "hist")
+        let mut session = Session::<PureDp>::builder()
+            .exact()
+            .ledger(10.0)
+            .inline()
+            .seeded(33)
+            .build();
+        session
+            .answer(&histogram_request::<PureDp, i64>(&bins, 1, 3), &db)
             .unwrap();
         let mut reference: ExactLedger<PureDp> = Ledger::new(10.0);
         reference
             .charge_batch("hist", PureDp::noise_priv(1, 9), 3)
             .unwrap();
-        assert_eq!(metered.spent_exact(), reference.spent_exact());
+        assert_eq!(session.accountant().spent_exact(), reference.spent_exact());
     }
 
+    /// Charge-before-serve through the `Session` front door: a refused
+    /// histogram draws no entropy, so the next served histogram continues
+    /// the `histogram_batch` replay exactly where the last served one
+    /// stopped.
     #[test]
-    // Deliberately exercises the deprecated legacy path (see above).
-    #[allow(deprecated)]
-    fn metered_histogram_charges_then_serves_and_refuses_atomically() {
-        use sampcert_core::{Dyadic, ExactLedger};
-        use sampcert_slang::CountingByteSource;
+    fn session_histogram_refusal_draws_no_entropy() {
+        use crate::histogram::histogram_request;
+        use sampcert_core::{Dyadic, Session};
+        use sampcert_slang::SplitSeed;
 
         let bins = parity_bins();
         let db: Vec<i64> = (0..30).collect();
+        let eps_one = histogram_request::<PureDp, i64>(&bins, 1, 1);
+        let eps_half = histogram_request::<PureDp, i64>(&bins, 1, 2);
 
-        // Exact carrier: ε = 1 per histogram, budget 2 ⇒ exactly two fit.
-        let mut ledger: ExactLedger<PureDp> = Ledger::new(2.0);
-        let mut src = CountingByteSource::new(SeededByteSource::new(21));
+        // Exact carrier, budget 2.5: two ε = 1 histograms fit, a third is
+        // refused, and an ε = ½ histogram then fits exactly.
+        let mut session = Session::<PureDp>::builder()
+            .exact()
+            .ledger(2.5)
+            .inline()
+            .seeded(21)
+            .build();
+        let mut replay = SplitSeed::new(21).stream(0);
         for round in 0..2 {
-            let h = histogram_batch_metered::<PureDp, _, i64>(
-                &bins,
-                1,
-                1,
-                &db,
-                &mut src,
-                &mut ledger,
-                format!("hist-{round}"),
-            )
-            .expect("fits");
-            assert_eq!(h.len(), 2);
+            let got = session.answer(&eps_one, &db).expect("fits");
+            let expect = histogram_batch::<PureDp, i64>(&bins, 1, 1, &db, &mut replay);
+            assert_eq!(got, expect, "round {round}");
         }
-        assert_eq!(ledger.spent_exact(), &Dyadic::from(2u64));
-        assert_eq!(ledger.remaining_exact(), Dyadic::zero());
+        assert_eq!(session.accountant().spent_exact(), &Dyadic::from(2u64));
 
-        // Third histogram: refused exactly, with no bytes drawn and the
-        // ledger untouched.
-        let before = src.bytes_read();
-        let err = histogram_batch_metered::<PureDp, _, i64>(
-            &bins,
-            1,
-            1,
-            &db,
-            &mut src,
-            &mut ledger,
-            "hist-3",
-        )
-        .unwrap_err();
-        assert_eq!(err.requested, Dyadic::from(1u64));
-        assert_eq!(err.remaining, Dyadic::zero());
-        assert_eq!(src.bytes_read(), before, "refused serve drew entropy");
-        assert_eq!(ledger.entries().len(), 2);
+        let err = session.answer(&eps_one, &db).unwrap_err();
+        let refusal = err.as_budget().expect("budget refusal");
+        assert_eq!(refusal.requested, Dyadic::from(1u64));
+        assert_eq!(refusal.remaining, Dyadic::from_f64_ceil(0.5));
+        assert_eq!(session.accountant().entries().len(), 2);
 
-        // The served values are byte-identical to the unmetered path.
-        let mut plain_src = SeededByteSource::new(21);
-        let plain = histogram_batch::<PureDp, i64>(&bins, 1, 1, &db, &mut plain_src);
-        let mut metered_src = SeededByteSource::new(21);
-        let mut fresh: Ledger<PureDp> = Ledger::new(10.0);
-        let metered = histogram_batch_metered::<PureDp, _, i64>(
-            &bins,
-            1,
-            1,
-            &db,
-            &mut metered_src,
-            &mut fresh,
-            "hist",
-        )
-        .unwrap();
-        assert_eq!(plain, metered);
+        let got = session.answer(&eps_half, &db).expect("fits exactly");
+        let expect = histogram_batch::<PureDp, i64>(&bins, 1, 2, &db, &mut replay);
+        assert_eq!(got, expect, "the refused histogram drew entropy");
+        assert_eq!(session.accountant().remaining_exact(), Dyadic::zero());
     }
 
     #[test]

@@ -35,7 +35,6 @@ mod adaptive;
 mod batch;
 mod histogram;
 mod queries;
-mod serve;
 mod svt;
 
 pub use accuracy::{
@@ -43,10 +42,6 @@ pub use accuracy::{
 };
 pub use adaptive::{adaptive_mean, magnitude_bins, AdaptiveMeanRelease};
 pub use batch::{answer_workload, histogram_batch, histogram_gamma, workload_request};
-// The deprecated metered wrapper stays exported for migration; the
-// re-export itself must not trip the deprecation lint.
-#[allow(deprecated)]
-pub use batch::histogram_batch_metered;
 pub use histogram::{
     approx_max_bin, exact_bin_count, histogram_request, noised_bin_count, noised_histogram,
     par_noised_histogram, Bins,
@@ -54,5 +49,4 @@ pub use histogram::{
 pub use queries::{
     count_request, mean_of, mean_request, noised_bounded_sum, noised_count, noised_mean,
 };
-pub use serve::{NoiseServer, SeedBackend, ServeConfig};
 pub use svt::{above_threshold, sparse, svt_request, SvtParams};

@@ -1,4 +1,5 @@
-//! [`RtExecutor`]: the runtime crate's draw-plane execution backend.
+//! [`RtExecutor`]: the draw-plane execution backend — the one pooled
+//! [`Executor`] of the serving stack.
 //!
 //! The serving stack has two planes with deliberately different
 //! scheduling:
@@ -16,10 +17,11 @@
 //! from must be a function of the request, not the scheduler), and it
 //! would falsify per-lane accounting — [`Executor::partition`] is the
 //! basis on which a sharded accountant attributes charges to lanes, so
-//! the lanes must actually serve those chunks. `RtExecutor` is
-//! therefore stream-for-stream identical to `NoiseServer` with the same
-//! seed and lane count (pinned by this crate's integration tests), and
-//! all elasticity lives one level up, in the runtime's task scheduler.
+//! the lanes must actually serve those chunks. An `RtExecutor` batch is
+//! therefore stream-for-stream identical to a per-lane sequential replay
+//! — lane `i`'s chunk drawn by [`Mechanism::run_many_into`] from
+//! `root.stream(i)` (pinned by this crate's integration tests) — and all
+//! elasticity lives one level up, in the runtime's task scheduler.
 
 use sampcert_core::{
     AbstractDp, Budget, Entropy, Executor, ExecutorFailure, Mechanism, SessionError,
@@ -50,9 +52,8 @@ impl std::fmt::Debug for RtExecutor {
 impl RtExecutor {
     /// Builds `lanes` persistent draw lanes (clamped to ≥ 1).
     /// [`Entropy::Seeded`] gives lane `i` the stream `root.stream(i)` —
-    /// the same streams `NoiseServer` and lane 0 of
-    /// [`sampcert_core::Inline`] derive, which is what makes the
-    /// byte-equality suite possible.
+    /// lane 0's is the stream [`sampcert_core::Inline`] derives, which is
+    /// what makes the byte-equality suite possible.
     pub fn new(entropy: Entropy, lanes: usize) -> Self {
         let lanes = lanes.max(1);
         let build = |i: usize| -> Box<dyn ByteSource + Send> {
@@ -122,8 +123,7 @@ impl Executor for RtExecutor {
 
 /// Charge-before-serve per lane: lane `i` batch-charges shard `i`
 /// (`chunkᵢ · units` releases of `gamma_unit`) before drawing a byte,
-/// and every verdict is collected before anything is released — the same
-/// discipline `NoiseServer` pins.
+/// and every verdict is collected before anything is released.
 impl ShardedExecutor for RtExecutor {
     fn run_sharded_into<D: AbstractDp, B: Budget, T: Sync + 'static, U: Value>(
         &mut self,
@@ -176,6 +176,7 @@ impl SpawnExecutor for RtExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sampcert_core::{count_query, DpNoise, ExactShardedLedger, Zcdp};
     use sampcert_slang::SplitSeed;
 
     #[test]
@@ -185,5 +186,44 @@ mod tests {
         let ex = RtExecutor::new(Entropy::Seeded(SplitSeed::new(7)), 4);
         assert_eq!(ex.lanes(), 4);
         assert_eq!(ex.partition(10), vec![3, 3, 2, 2]);
+    }
+
+    #[test]
+    fn seeded_executors_replay_each_other_and_keep_their_streams() {
+        let mech = Zcdp::noise(&count_query::<u8>(), 1, 8);
+        let db = [0u8; 4];
+        let mut a = RtExecutor::new(Entropy::seeded(11), 4);
+        let mut b = RtExecutor::new(Entropy::seeded(11), 4);
+        let serve = |ex: &mut RtExecutor| {
+            let mut out = Vec::new();
+            ex.run_into(&mech, &db, 1000, &mut out).unwrap();
+            out
+        };
+        let first = serve(&mut a);
+        assert_eq!(first, serve(&mut b));
+        // The lanes are persistent: a second batch continues each stream
+        // instead of restarting it.
+        let second = serve(&mut a);
+        assert_ne!(first, second);
+        assert_eq!(second, serve(&mut b));
+    }
+
+    #[test]
+    fn partial_shard_refusal_releases_nothing() {
+        let mech = Zcdp::noise(&count_query::<u8>(), 1, 2);
+        let gamma = Zcdp::noise_priv(1, 2);
+        // Budget 1.5 over 2 lanes, 16 answers at ρ = 1/8: each chunk costs
+        // 1, so exactly one shard's charge fits — the other must refuse,
+        // whatever the thread interleaving.
+        let ledger: ExactShardedLedger<Zcdp> = ShardedLedger::new(1.5, 2);
+        let mut ex = RtExecutor::new(Entropy::seeded(6), 2);
+        let mut out = vec![99];
+        let err = ex
+            .run_sharded_into(&mech, &[0u8; 5], 16, gamma, 1, &ledger, &mut out)
+            .unwrap_err();
+        assert!(err.as_budget().expect("budget refusal").shard.is_some());
+        assert_eq!(out, vec![99], "a refused batch touched the buffer");
+        // The winning shard's charge stays spent: the conservative side.
+        assert_eq!(ledger.unallocated(), 0.5);
     }
 }

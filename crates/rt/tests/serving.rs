@@ -1,12 +1,13 @@
 //! Integration suite for the serving runtime: draw-plane byte equality
-//! against the established backends, the full session-on-runtime path,
-//! and the shed-before-charge invariant at the runtime level.
+//! against a per-lane sequential replay, the full session-on-runtime
+//! path, and the shed-before-charge invariant at the runtime level.
 
 use sampcert_core::{
-    count_query, AdmissionPolicy, Entropy, Executor, Inline, Private, PureDp, Request, Session,
+    count_query, lane_partition, AdmissionPolicy, Entropy, Executor, Inline, Mechanism, Private,
+    PureDp, Request, Session, ShardedExecutor, ShardedLedger,
 };
-use sampcert_mechanisms::{NoiseServer, SeedBackend, ServeConfig};
 use sampcert_rt::{block_on, Ingress, RtExecutor, Runtime};
+use sampcert_slang::{SeededByteSource, SplitSeed, Value};
 
 const ROOT: u64 = 0xC0FF_EE00;
 
@@ -15,24 +16,64 @@ fn count_request() -> Request<PureDp, u32, i64> {
     Request::from_private(&q, "count")
 }
 
-/// The draw plane is stream-for-stream identical to `NoiseServer`: the
-/// same seed root and lane count produce the same bytes, hence the same
-/// answers, for every batch size around the partition boundaries.
+/// The reference every pooled batch is pinned against: lane `i` draws
+/// its chunk of the [`lane_partition`] sequentially from its own
+/// persistent stream `root.stream(i)`, and the chunks concatenate in lane
+/// order.
+struct LaneReplay {
+    lanes: Vec<SeededByteSource>,
+}
+
+impl LaneReplay {
+    fn new(root: u64, lanes: usize) -> Self {
+        let root = SplitSeed::new(root);
+        LaneReplay {
+            lanes: (0..lanes as u64).map(|i| root.stream(i)).collect(),
+        }
+    }
+
+    fn serve<T: 'static, U: Value>(
+        &mut self,
+        mech: &Mechanism<T, U>,
+        db: &[T],
+        n: usize,
+    ) -> Vec<U> {
+        let chunks = lane_partition(n, self.lanes.len());
+        let mut out = Vec::new();
+        for (src, len) in self.lanes.iter_mut().zip(chunks) {
+            mech.run_many_into(db, len, src, &mut out);
+        }
+        out
+    }
+}
+
+/// The draw plane is scheduling only: for every lane count and every
+/// batch size around the partition boundaries, both `run_into` and the
+/// charge-before-serve `run_sharded_into` release exactly the per-lane
+/// sequential replay — and a second batch continues each lane's stream.
 #[test]
-fn rt_executor_matches_noise_server_byte_for_byte() {
+fn rt_executor_equals_per_lane_sequential_replay() {
     let req = count_request();
     let db: Vec<u32> = (0..500).collect();
-    for lanes in [1usize, 2, 3, 4] {
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 16, 33] {
-            let mut rt_ex = RtExecutor::new(Entropy::seeded(ROOT), lanes);
-            let mut ns = NoiseServer::new(ServeConfig {
-                workers: lanes,
-                seed: SeedBackend::Deterministic(ROOT),
-            });
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            rt_ex.run_into(req.mechanism(), &db, n, &mut a).unwrap();
-            ns.run_into(req.mechanism(), &db, n, &mut b).unwrap();
-            assert_eq!(a, b, "lanes {lanes}, n {n}");
+    for lanes in 1..=4usize {
+        for n in (1..=8).chain([16, 33]) {
+            let mut replay = LaneReplay::new(ROOT, lanes);
+            let mut plain = RtExecutor::new(Entropy::seeded(ROOT), lanes);
+            let mut sharded = RtExecutor::new(Entropy::seeded(ROOT), lanes);
+            let ledger: ShardedLedger<PureDp> = ShardedLedger::new(1e6, lanes);
+            for batch in 0..2 {
+                let expect = replay.serve(req.mechanism(), &db, n);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                plain.run_into(req.mechanism(), &db, n, &mut a).unwrap();
+                sharded
+                    .run_sharded_into(req.mechanism(), &db, n, 1.0, 1, &ledger, &mut b)
+                    .unwrap();
+                assert_eq!(a, expect, "run_into: lanes {lanes}, n {n}, batch {batch}");
+                assert_eq!(
+                    b, expect,
+                    "run_sharded_into: lanes {lanes}, n {n}, batch {batch}"
+                );
+            }
         }
     }
 }
@@ -51,35 +92,28 @@ fn single_lane_rt_executor_is_inline() {
     assert_eq!(a, b);
 }
 
-/// A session built over `RtExecutor` answers exactly what the same
-/// session over `NoiseServer` answers — the executor slots into the
-/// typestate builder like any other backend.
+/// A session built over `RtExecutor` answers the per-lane replay — the
+/// executor slots into the typestate builder like any other backend.
 #[test]
-fn sessions_over_rt_executor_and_noise_server_agree() {
+fn session_over_rt_executor_equals_per_lane_replay() {
     let req = count_request();
     let db: Vec<u32> = (0..250).collect();
-    let mut over_rt = Session::<PureDp>::builder()
+    let mut session = Session::<PureDp>::builder()
         .ledger(16.0)
         .seeded(ROOT)
         .executor::<RtExecutor>(3)
         .build();
-    let mut over_ns = Session::<PureDp>::builder()
-        .ledger(16.0)
-        .seeded(ROOT)
-        .executor::<NoiseServer>(3)
-        .build();
-    let a = over_rt.answer_many(&req, &db, 9).unwrap();
-    let b = over_ns.answer_many(&req, &db, 9).unwrap();
-    assert_eq!(a, b);
-    assert_eq!(over_rt.accountant().spent(), over_ns.accountant().spent());
+    let got = session.answer_many(&req, &db, 9).unwrap();
+    assert_eq!(got, LaneReplay::new(ROOT, 3).serve(req.mechanism(), &db, 9));
+    assert_eq!(session.accountant().spent(), 9.0);
 }
 
-/// The full stack: a `NoiseServer`-backed session owned by a runtime
+/// The full stack: an `RtExecutor`-backed session owned by a runtime
 /// task, fed through the bounded ingress queue, serving `answer_async`.
 /// Answers equal the synchronous session with the same seed, and the
 /// spend equals the accepted count.
 #[test]
-fn noise_server_session_serves_on_the_runtime() {
+fn rt_executor_session_serves_on_the_runtime() {
     let req = count_request();
     let runtime = Runtime::new(3);
     let queue: Ingress<Request<PureDp, u32, i64>> = Ingress::bounded(32);
@@ -93,12 +127,12 @@ fn noise_server_session_serves_on_the_runtime() {
                 .shed_unservable(),
         )
         .ingress(queue.gauge())
-        .executor::<NoiseServer>(2)
+        .executor::<RtExecutor>(2)
         .build();
     let mut sync_session = Session::<PureDp>::builder()
         .ledger(16.0)
         .seeded(ROOT)
-        .executor::<NoiseServer>(2)
+        .executor::<RtExecutor>(2)
         .build();
 
     for _ in 0..8 {

@@ -30,8 +30,8 @@
 //!
 //! Serving goes through one composable surface: a [`Session`] built by
 //! choosing the budget carrier (`f64` or exact dyadic), the accountant
-//! (ledger or Rényi meter, global or sharded), the executor (inline or a
-//! `NoiseServer` worker pool) and the entropy backend (OS or a replayable
+//! (ledger or Rényi meter, global or sharded), the executor (inline or the
+//! [`rt::RtExecutor`] draw pool) and the entropy backend (OS or a replayable
 //! split seed) — then answering [`Request`]s. Illegal combinations (a
 //! sharded accountant on a single-lane executor) do not compile.
 //!
@@ -59,9 +59,9 @@
 //! ```
 //!
 //! The pre-`Session` entry points (`Private::run` with an explicit byte
-//! source, `histogram_batch`, `NoiseServer::run_many`, …) remain the
-//! primitives underneath and stay available; the metered convenience
-//! wrappers they spawned are deprecated in favour of the session.
+//! source, `histogram_batch`, `Mechanism::run_many_into`, …) remain the
+//! unmetered primitives underneath and stay available; every metered
+//! release goes through the session.
 
 pub use sampcert_arith as arith;
 pub use sampcert_baselines as baselines;

@@ -16,8 +16,8 @@
 //!   the observed depth and bound, and refusals consume no entropy;
 //! - the async/sync equivalence matrix: `answer_async` resolves to the
 //!   same bytes and records the same charges as `answer` for every legal
-//!   builder chain (both carriers × every accountant × inline/pooled
-//!   executors, including the runtime crate's `RtExecutor`), and
+//!   builder chain (both carriers × every accountant × the inline
+//!   executor and the runtime crate's pooled `RtExecutor`), and
 //!   `answer_for_async` likewise matches `answer_for` on per-principal
 //!   sessions.
 
@@ -25,7 +25,6 @@ use proptest::prelude::*;
 use sampcert::core::{
     count_query, AdmissionPolicy, Private, PureDp, Request, Session, SessionError,
 };
-use sampcert::mechanisms::NoiseServer;
 use sampcert::rt::{block_on, Ingress, RtExecutor};
 
 /// A unit counting request at ε = 1/2 (dyadic-exact, so the exact
@@ -278,13 +277,10 @@ fn answer_async_equals_answer_for_every_builder_chain() {
         }};
     }
 
-    // Global f64 ledger × inline / both pooled executors.
+    // Global f64 ledger × inline / pooled executors of two lane counts.
     pair!((ledger(1e6).inline().seeded(3)), (spent()));
-    pair!(
-        (ledger(1e6).executor::<NoiseServer>(2).seeded(3)),
-        (spent())
-    );
     pair!((ledger(1e6).executor::<RtExecutor>(2).seeded(3)), (spent()));
+    pair!((ledger(1e6).executor::<RtExecutor>(3).seeded(3)), (spent()));
     // Exact carrier.
     pair!((exact().ledger(1e6).inline().seeded(3)), (spent_exact()));
     pair!(
@@ -294,12 +290,12 @@ fn answer_async_equals_answer_for_every_builder_chain() {
     // RDP meters, global and sharded.
     pair!((rdp(1e-6, 1e6).inline().seeded(3)), (epsilon()));
     pair!(
-        (sharded_rdp(1e-6, 1e6).executor::<NoiseServer>(2).seeded(3)),
+        (sharded_rdp(1e-6, 1e6).executor::<RtExecutor>(2).seeded(3)),
         (epsilon())
     );
     // Sharded ledgers, both carriers.
     pair!(
-        (sharded_ledger(1e6).executor::<NoiseServer>(2).seeded(3)),
+        (sharded_ledger(1e6).executor::<RtExecutor>(2).seeded(3)),
         (unallocated())
     );
     pair!(

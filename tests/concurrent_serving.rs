@@ -10,15 +10,15 @@
 //! `Dyadic`, every comparison strict — so an over-spend of even one
 //! lattice quantum (2⁻¹²⁷) would fail the suite, not hide in a float
 //! tolerance. The serving half pins the determinism contract of the
-//! split-seed backend end to end through `NoiseServer`.
+//! split-seed backend end to end through the `RtExecutor` draw plane.
 
 use sampcert_arith::Dyadic;
 use sampcert_arith::Nat;
 use sampcert_core::{
-    count_query, DpNoise, ExactShardedLedger, PureDp, RdpAccountant, ShardedLedger,
+    Entropy, ExactShardedLedger, Executor, PureDp, RdpAccountant, Request, ShardedLedger,
     ShardedRdpAccountant, Zcdp,
 };
-use sampcert_mechanisms::{NoiseServer, SeedBackend, ServeConfig};
+use sampcert_rt::RtExecutor;
 use sampcert_samplers::{discrete_gaussian_many, LaplaceAlg};
 use sampcert_slang::{ByteSource, SplitSeed};
 
@@ -165,27 +165,21 @@ fn sharded_rdp_across_threads_matches_sequential() {
     assert_eq!(af, ar);
 }
 
-/// Split-seed worker streams are replayable end to end through the
-/// serving pool, and a fresh server replays a fresh server.
+/// Split-seed lane streams are replayable end to end through the draw
+/// plane, and a fresh executor replays a fresh executor.
 #[test]
-fn deterministic_serving_replays_across_servers() {
-    let config = ServeConfig {
-        workers: 4,
-        seed: SeedBackend::Deterministic(0xFEED),
-    };
-    let serve = |mut s: NoiseServer| {
-        let a = s.gaussian_noise_many(&Nat::from(32u64), &Nat::one(), LaplaceAlg::Switched, 999);
-        let b = s.laplace_noise_many(
-            &Nat::from(3u64),
-            &Nat::from(2u64),
-            LaplaceAlg::Switched,
-            501,
-        );
+fn deterministic_serving_replays_across_executors() {
+    let gauss: Request<Zcdp, (), i64> = Request::noise(32, 1);
+    let laplace: Request<PureDp, (), i64> = Request::noise(3, 2);
+    let serve = |mut ex: RtExecutor| {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        ex.run_into(gauss.mechanism(), &[], 999, &mut a).unwrap();
+        ex.run_into(laplace.mechanism(), &[], 501, &mut b).unwrap();
         (a, b)
     };
     assert_eq!(
-        serve(NoiseServer::new(config)),
-        serve(NoiseServer::new(config))
+        serve(RtExecutor::new(Entropy::seeded(0xFEED), 4)),
+        serve(RtExecutor::new(Entropy::seeded(0xFEED), 4))
     );
 }
 
@@ -217,39 +211,6 @@ fn worker_streams_are_pairwise_independent_statistically() {
             assert!(corr.abs() < 0.08, "streams {i},{j} correlate: {corr}");
         }
     }
-}
-
-/// The metered serving path composes correctly end to end: a pool serving
-/// under an exact sharded ledger spends exactly what the request batch
-/// costs, and the refusal that ends the session names a shard.
-#[test]
-// Deliberately drives the deprecated legacy metered path: this suite is
-// the charge/byte reference the Session front door is pinned against
-// (tests/session_api.rs).
-#[allow(deprecated)]
-fn metered_pool_session_is_exactly_accounted() {
-    let q = count_query::<u8>();
-    let mech = PureDp::noise(&q, 1, 4); // ε = 1/4 per answer, dyadic
-    let gamma = PureDp::noise_priv(1, 4);
-    let db = vec![0u8; 20];
-    let workers = 4;
-    let mut server = NoiseServer::new(ServeConfig {
-        workers,
-        seed: SeedBackend::Deterministic(5),
-    });
-    // Budget 16 admits exactly 64 answers at ε = 1/4.
-    let ledger: ExactShardedLedger<PureDp> = ShardedLedger::new(16.0, workers);
-    let answers = server
-        .run_many_metered(&mech, &db, 64, gamma, &ledger)
-        .expect("fits exactly");
-    assert_eq!(answers.len(), 64);
-    assert_eq!(ledger.unallocated_exact(), Dyadic::zero());
-    let err = server
-        .run_many_metered(&mech, &db, 64, gamma, &ledger)
-        .unwrap_err();
-    assert!(err.shard.is_some());
-    assert_eq!(err.carrier, "dyadic");
-    assert!(err.to_string().contains("carrier: dyadic, shard:"), "{err}");
 }
 
 /// Sources handed to workers must actually be distinct objects: mutating

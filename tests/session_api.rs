@@ -6,12 +6,13 @@
 //! Layout:
 //!
 //! - byte-stream equality of `Session::answer_many` vs
-//!   `Private::run_many`, `histogram_batch`, `answer_workload`,
-//!   `above_threshold.run` and `NoiseServer::run_many` /
-//!   `gaussian_noise_many` on the seeded backend (where replay makes
-//!   byte comparison possible);
-//! - exact-charge equality vs the deprecated metered wrappers on the
-//!   dyadic carrier;
+//!   `Private::run_many`, `histogram_batch`, `answer_workload` and
+//!   `above_threshold.run` on the seeded backend (where replay makes
+//!   byte comparison possible), and of pooled sessions vs a per-lane
+//!   sequential replay of `Mechanism::run_many_into` /
+//!   `discrete_gaussian_many_into` on `root.stream(i)`;
+//! - exact-charge equality vs explicit ledger charges on the dyadic
+//!   carrier;
 //! - an OS-entropy smoke pass of the same paths (accounting is
 //!   entropy-independent; the stream itself is not replayable);
 //! - the full builder combination matrix — every carrier × accountant ×
@@ -21,15 +22,34 @@
 
 use sampcert::arith::Dyadic;
 use sampcert::core::{
-    count_query, Budget, DpNoise, Entropy, Executor, Ledger, Private, PureDp, Request, Session,
-    SessionError, ShardedLedger, Zcdp,
+    count_query, lane_partition, Budget, DpNoise, Entropy, Executor, Ledger, Mechanism, Private,
+    PureDp, Request, Session, SessionError, ShardedLedger, Zcdp,
 };
 use sampcert::mechanisms::{
     answer_workload, histogram_batch, histogram_request, svt_request, workload_request, Bins,
-    NoiseServer, SeedBackend, ServeConfig, SvtParams,
+    SvtParams,
 };
+use sampcert::rt::RtExecutor;
 use sampcert::samplers::{discrete_gaussian_many_into, LaplaceAlg};
-use sampcert::slang::SplitSeed;
+use sampcert::slang::{SplitSeed, Value};
+
+/// What a fresh `lanes`-lane pool seeded with `root` serves for `n`
+/// answers: lane `i` draws its [`lane_partition`] chunk sequentially from
+/// `root.stream(i)`, chunks concatenated in lane order.
+fn per_lane_replay<T: 'static, U: Value>(
+    mech: &Mechanism<T, U>,
+    db: &[T],
+    n: usize,
+    lanes: usize,
+    root: u64,
+) -> Vec<U> {
+    let root = SplitSeed::new(root);
+    let mut out = Vec::new();
+    for (i, len) in lane_partition(n, lanes).into_iter().enumerate() {
+        mech.run_many_into(db, len, &mut root.stream(i as u64), &mut out);
+    }
+    out
+}
 
 /// `Session` (inline, seeded) vs `Private::run_many`: same bytes, for
 /// both carriers.
@@ -76,7 +96,7 @@ fn inline_answer_many_equals_private_run_many_bytewise() {
 }
 
 /// `Session` histogram answers vs `histogram_batch`: same bytes; and the
-/// exact charge matches the deprecated metered wrapper bit for bit.
+/// exact charge matches an explicit per-bin batch charge bit for bit.
 #[test]
 fn histogram_request_equals_histogram_batch_bytewise_and_in_exact_charge() {
     let bins = Bins::new(3, |v: &i64| (*v % 3).unsigned_abs() as usize);
@@ -96,27 +116,19 @@ fn histogram_request_equals_histogram_batch_bytewise_and_in_exact_charge() {
         assert_eq!(got, expect, "round {round}");
     }
 
-    // Exact-charge parity with the legacy metered path: per-bin γ = 1/9
-    // is non-dyadic, so this pins the per-unit rounding rule.
+    // Exact-charge parity with charging each histogram as 3 bins of
+    // ε = 1/9: that γ is non-dyadic, so this pins the per-unit rounding
+    // rule.
     let mut reference: Ledger<PureDp, Dyadic> = Ledger::new(10.0);
-    let mut ref_src = SplitSeed::new(33).stream(0);
     for round in 0..5 {
-        #[allow(deprecated)]
-        sampcert::mechanisms::histogram_batch_metered::<PureDp, _, i64>(
-            &bins,
-            1,
-            3,
-            &db,
-            &mut ref_src,
-            &mut reference,
-            format!("hist-{round}"),
-        )
-        .unwrap();
+        reference
+            .charge_batch(format!("hist-{round}"), PureDp::noise_priv(1, 9), 3)
+            .unwrap();
     }
     assert_eq!(
         session.accountant().spent_exact(),
         reference.spent_exact(),
-        "session charge diverged from the legacy per-bin exact charge"
+        "session charge diverged from the per-bin exact charge"
     );
 }
 
@@ -181,30 +193,24 @@ fn svt_request_equals_above_threshold_bytewise() {
     }
 }
 
-/// Pooled `Session` (sharded ledger, seeded) vs `NoiseServer::run_many`:
-/// same bytes for the same root and worker count, on both carriers.
+/// Pooled `Session` (sharded ledger, seeded) vs the per-lane sequential
+/// replay: same bytes for the same root and lane count, on both carriers.
 #[test]
-fn pooled_answer_many_equals_noise_server_run_many_bytewise() {
+fn pooled_answer_many_equals_per_lane_replay_bytewise() {
     let q = count_query::<u8>();
-    let mech = Zcdp::noise(&q, 1, 2);
     let p: Private<Zcdp, u8, i64> = Private::noised_query(&q, 1, 2);
     let req = Request::from_private(&p, "count");
     let db = vec![0u8; 10];
-    let workers = 3;
-
-    let mut legacy = NoiseServer::new(ServeConfig {
-        workers,
-        seed: SeedBackend::Deterministic(9),
-    });
-    let expect = legacy.run_many(&mech, &db, 100);
+    let lanes = 3;
+    let expect = per_lane_replay(p.mechanism(), &db, 100, lanes, 9);
 
     // f64 carrier.
     let mut session = Session::<Zcdp>::builder()
         .sharded_ledger(1e6)
-        .executor::<NoiseServer>(workers)
+        .executor::<RtExecutor>(lanes)
         .seeded(9)
         .build();
-    assert_eq!(session.executor().workers(), workers);
+    assert_eq!(session.executor().lanes(), lanes);
     let got = session.answer_many(&req, &db, 100).unwrap();
     assert_eq!(got, expect);
 
@@ -212,87 +218,88 @@ fn pooled_answer_many_equals_noise_server_run_many_bytewise() {
     let mut exact = Session::<Zcdp>::builder()
         .exact()
         .sharded_ledger(1e6)
-        .executor::<NoiseServer>(workers)
+        .executor::<RtExecutor>(lanes)
         .seeded(9)
         .build();
     assert_eq!(exact.answer_many(&req, &db, 100).unwrap(), expect);
 }
 
-/// Pooled noise requests vs `NoiseServer::gaussian_noise_many`: the raw
-/// noise fast path and the mechanism path draw identical streams.
+/// Pooled noise requests vs the fused batch sampler: the mechanism path
+/// (through a `Session`, and through `Executor::run_into` directly, as
+/// `reproduce serve` drives it) draws exactly the per-lane
+/// `discrete_gaussian_many_into` replay.
 #[test]
-fn pooled_noise_request_equals_gaussian_noise_many_bytewise() {
+fn pooled_noise_request_equals_per_lane_gaussian_many_bytewise() {
     use sampcert::arith::Nat;
-    let workers = 4;
-    let mut legacy = NoiseServer::new(ServeConfig {
-        workers,
-        seed: SeedBackend::Deterministic(17),
-    });
-    let expect =
-        legacy.gaussian_noise_many(&Nat::from(8u64), &Nat::one(), LaplaceAlg::Switched, 401);
+    let lanes = 4;
+    for sigma in [8u64, 64] {
+        let root = SplitSeed::new(17);
+        let mut replay = Vec::new();
+        for (w, len) in lane_partition(401, lanes).into_iter().enumerate() {
+            discrete_gaussian_many_into(
+                &Nat::from(sigma),
+                &Nat::one(),
+                LaplaceAlg::Switched,
+                len,
+                &mut root.stream(w as u64),
+                &mut replay,
+            );
+        }
 
-    let mut session = Session::<Zcdp>::builder()
-        .sharded_ledger(1e6)
-        .executor::<NoiseServer>(workers)
-        .seeded(17)
-        .build();
-    let req: Request<Zcdp, (), i64> = Request::noise(8, 1);
-    let got = session.answer_many(&req, &[], 401).unwrap();
-    assert_eq!(got, expect);
+        let req: Request<Zcdp, (), i64> = Request::noise(sigma, 1);
+        let mut session = Session::<Zcdp>::builder()
+            .sharded_ledger(1e6)
+            .executor::<RtExecutor>(lanes)
+            .seeded(17)
+            .build();
+        let got = session.answer_many(&req, &[], 401).unwrap();
+        assert_eq!(got, replay, "session, sigma {sigma}");
 
-    // And both equal the per-stream sequential replay (the chunk rule).
-    let root = SplitSeed::new(17);
-    let mut replay = Vec::new();
-    let base = 401 / workers;
-    for w in 0..workers {
-        let len = base + usize::from(w < 401 % workers);
-        let mut src = root.stream(w as u64);
-        discrete_gaussian_many_into(
-            &Nat::from(8u64),
-            &Nat::one(),
-            LaplaceAlg::Switched,
-            len,
-            &mut src,
-            &mut replay,
-        );
+        let mut direct = RtExecutor::new(Entropy::seeded(17), lanes);
+        let mut out = Vec::new();
+        direct
+            .run_into(req.mechanism(), &[], 401, &mut out)
+            .unwrap();
+        assert_eq!(out, replay, "run_into, sigma {sigma}");
     }
-    assert_eq!(got, replay);
 }
 
-/// The sharded exact session spends exactly what the deprecated
-/// `run_many_metered` path spends, and the refusal names a shard.
+/// The sharded exact session is exactly accounted: it releases the
+/// per-lane replay, spends exactly what charging each lane's chunk to its
+/// shard spends (here the whole budget), and the refusal that ends the
+/// session names a shard on the exact carrier.
 #[test]
-fn pooled_exact_session_matches_legacy_sharded_metering() {
+fn pooled_exact_session_is_exactly_accounted() {
     let q = count_query::<u8>();
-    let mech = PureDp::noise(&q, 1, 4);
-    let gamma = PureDp::noise_priv(1, 4);
+    let gamma = PureDp::noise_priv(1, 4); // ε = 1/4 per answer, dyadic
     let p: Private<PureDp, u8, i64> = Private::noised_query(&q, 1, 4);
     let req = Request::from_private(&p, "count");
     let db = vec![0u8; 20];
-    let workers = 4;
+    let lanes = 4;
 
-    // Legacy: budget 16 admits exactly 64 answers at ε = 1/4.
-    let mut legacy_server = NoiseServer::new(ServeConfig {
-        workers,
-        seed: SeedBackend::Deterministic(5),
-    });
-    let legacy_ledger: ShardedLedger<PureDp, Dyadic> = ShardedLedger::new(16.0, workers);
-    #[allow(deprecated)]
-    let legacy_answers = legacy_server
-        .run_many_metered(&mech, &db, 64, gamma, &legacy_ledger)
-        .expect("fits exactly");
-
-    // Session: same budget, same pool shape, same seed.
+    // Budget 16 admits exactly 64 answers at ε = 1/4.
     let mut session = Session::<PureDp>::builder()
         .exact()
         .sharded_ledger(16.0)
-        .executor::<NoiseServer>(workers)
+        .executor::<RtExecutor>(lanes)
         .seeded(5)
         .build();
     let answers = session.answer_many(&req, &db, 64).unwrap();
-    assert_eq!(answers, legacy_answers);
-    assert_eq!(session.accountant().unallocated_exact(), Dyadic::zero());
-    assert_eq!(legacy_ledger.unallocated_exact(), Dyadic::zero());
+    assert_eq!(answers, per_lane_replay(p.mechanism(), &db, 64, lanes, 5));
+
+    // Reference: each lane's chunk charged to its shard as one batch.
+    let reference: ShardedLedger<PureDp, Dyadic> = ShardedLedger::new(16.0, lanes);
+    for (i, len) in lane_partition(64, lanes).into_iter().enumerate() {
+        reference
+            .handle(i)
+            .charge_batch(gamma, len as u64)
+            .expect("fits exactly");
+    }
+    assert_eq!(reference.unallocated_exact(), Dyadic::zero());
+    assert_eq!(
+        session.accountant().unallocated_exact(),
+        reference.unallocated_exact()
+    );
 
     // The next batch is refused by a named shard, with the exact carrier.
     let err = session.answer_many(&req, &db, 64).unwrap_err();
@@ -300,9 +307,39 @@ fn pooled_exact_session_matches_legacy_sharded_metering() {
         SessionError::Budget(b) => {
             assert!(b.shard.is_some());
             assert_eq!(b.carrier, "dyadic");
+            assert!(b.to_string().contains("carrier: dyadic, shard:"), "{b}");
         }
         other => panic!("expected budget refusal, got {other}"),
     }
+}
+
+/// A pooled per-principal session charges the whole batch to one
+/// principal before any lane draws: it releases the per-lane replay,
+/// records the exact spend, names the refused principal, and leaves other
+/// principals' allowances untouched.
+#[test]
+fn pooled_per_principal_session_isolates_and_names_principals() {
+    let p: Private<PureDp, u8, i64> = Private::noised_query(&count_query(), 1, 4);
+    let req = Request::from_private(&p, "count"); // ε = 1/4 per answer
+    let db = vec![0u8; 10];
+    let mut session = Session::<PureDp>::builder()
+        .exact()
+        .registry(1.0)
+        .executor::<RtExecutor>(2)
+        .seeded(7)
+        .build_per_principal();
+
+    let out = session.answer_many_for(1, &req, &db, 4).expect("fits");
+    assert_eq!(out, per_lane_replay(p.mechanism(), &db, 4, 2, 7));
+    assert_eq!(session.accountant().spent_exact(1), Dyadic::from(1u64));
+
+    // Principal 1 is dry; the refusal names them and serves nothing.
+    let err = session.answer_many_for(1, &req, &db, 1).unwrap_err();
+    assert_eq!(err.as_budget().expect("budget refusal").principal, Some(1));
+    // Principal 2's allowance is untouched.
+    let out = session.answer_many_for(2, &req, &db, 4).expect("fits");
+    assert_eq!(out.len(), 4);
+    assert_eq!(session.accountant().spent_exact(2), Dyadic::from(1u64));
 }
 
 /// A *partial* sharded refusal releases nothing: chunks whose shard
@@ -319,7 +356,7 @@ fn partial_shard_refusal_releases_nothing_and_leaves_buffer_untouched() {
     let mut session = Session::<PureDp>::builder()
         .exact()
         .sharded_ledger(3.0)
-        .executor::<NoiseServer>(2)
+        .executor::<RtExecutor>(2)
         .seeded(6)
         .build();
     let mut out = vec![99i64];
@@ -372,7 +409,7 @@ fn os_entropy_sessions_serve_and_account_for_both_carriers() {
     let mut pooled = Session::<PureDp>::builder()
         .exact()
         .sharded_ledger(100.0)
-        .executor::<NoiseServer>(2)
+        .executor::<RtExecutor>(2)
         .entropy(Entropy::Os)
         .build();
     let out = pooled.answer_many(&req, &db, 40).unwrap();
@@ -421,12 +458,12 @@ fn builder_combination_matrix_compiles_and_runs() {
 
     // Global accountants × both executors.
     carrier_entropy_cases!((ledger(1e6)), (inline()));
-    carrier_entropy_cases!((ledger(1e6)), (executor::<NoiseServer>(2)));
+    carrier_entropy_cases!((ledger(1e6)), (executor::<RtExecutor>(2)));
     carrier_entropy_cases!((rdp(1e-6, 1e6)), (inline()));
-    carrier_entropy_cases!((rdp(1e-6, 1e6)), (executor::<NoiseServer>(2)));
+    carrier_entropy_cases!((rdp(1e-6, 1e6)), (executor::<RtExecutor>(2)));
     // Sharded accountants × the pooled executor (inline is a compile error).
-    carrier_entropy_cases!((sharded_ledger(1e6)), (executor::<NoiseServer>(2)));
-    carrier_entropy_cases!((sharded_rdp(1e-6, 1e6)), (executor::<NoiseServer>(2)));
+    carrier_entropy_cases!((sharded_ledger(1e6)), (executor::<RtExecutor>(2)));
+    carrier_entropy_cases!((sharded_rdp(1e-6, 1e6)), (executor::<RtExecutor>(2)));
 }
 
 /// The sharded RDP meter folds exactly to the global accounting of the
@@ -435,7 +472,7 @@ fn builder_combination_matrix_compiles_and_runs() {
 fn sharded_rdp_session_folds_to_global_accounting() {
     let mut sharded = Session::<Zcdp>::builder()
         .sharded_rdp(1e-6, 100.0)
-        .executor::<NoiseServer>(4)
+        .executor::<RtExecutor>(4)
         .seeded(2)
         .build();
     let req: Request<Zcdp, (), i64> = Request::noise(8, 1);
