@@ -27,14 +27,16 @@
 //!   `charge_durable_fsync_t1`: the per-principal charge path with
 //!   journaling off vs on — a plain [`BudgetRegistry`] (lock-sharded,
 //!   no I/O), a [`DurableRegistry`] over in-memory storage (WAL framing
-//!   plus the single journal lock, no disk), and a `DurableRegistry`
-//!   over a real file with fsync-per-charge (the full durability price;
-//!   the absolute number is dominated by the host's fsync latency);
+//!   plus the group-commit queue, no disk), and a `DurableRegistry`
+//!   over a real file from one thread, so every batch holds one charge
+//!   and pays its own fsync (the full durability price; the absolute
+//!   number is dominated by the host's fsync latency);
 //! - `charge_durable_fsync_t8` vs `charge_durable_group_t8`: the same
-//!   file-backed durable charge from 8 concurrent threads, serially
-//!   fsynced per charge vs group-committed (one leader fsync per batch,
-//!   followers acknowledged at their stable LSN) — the group-commit
-//!   speedup the durability tier ships with;
+//!   file-backed durable charge from 8 concurrent threads, taking turns
+//!   on a bench-local mutex so every charge pays its own fsync vs
+//!   charging freely so concurrent charges share one (one leader fsync
+//!   per batch, followers acknowledged at their stable LSN) — the
+//!   group-commit speedup the durability tier ships with;
 //! - `charge_registry_1m` + `registry_1m_build_ns_per_principal` +
 //!   `registry_1m_rss_bytes_per_principal`: the million-principal
 //!   capacity tier — zipfian-skewed concurrent charges against a fully
@@ -81,6 +83,12 @@ const SIGMA: u64 = 64;
 /// Per-draw ε charged in the metered rows (budget is set far above the
 /// session total, so no row ever hits a refusal path).
 const GAMMA_EACH: f64 = 1e-6;
+
+/// The per-principal allowance of the durable rows, in the carrier:
+/// ample for every charge they make.
+fn budget() -> Dyadic {
+    Dyadic::budget_from_f64(1e9)
+}
 
 /// Total samples per measured serve call.
 fn samples_per_call(quick: bool) -> usize {
@@ -270,13 +278,14 @@ fn charge_registry_dyadic_row(workers: usize, n: usize, reps: usize) -> f64 {
 }
 
 /// The same workload with journaling **on** over in-memory storage: every
-/// charge serializes on the journal lock and pays WAL framing +
+/// charge goes through the group-commit queue and pays WAL framing +
 /// checksumming, but no disk I/O — the pure journaling-machinery
 /// overhead against [`charge_registry_dyadic_row`].
 fn charge_durable_mem_dyadic_row(workers: usize, n: usize, reps: usize) -> f64 {
     ns_per_sample(n, reps, move |k| {
         let registry: DurableRegistry<PureDp, Dyadic, MemStorage> =
-            DurableRegistry::create(1e9, workers, MemStorage::new()).expect("fault-free storage");
+            DurableRegistry::create_with_budget(budget(), workers, MemStorage::new())
+                .expect("fault-free storage");
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let registry = &registry;
@@ -293,11 +302,11 @@ fn charge_durable_mem_dyadic_row(workers: usize, n: usize, reps: usize) -> f64 {
     })
 }
 
-/// Journaling **on** over a real file, single thread: each charge is an
-/// append **plus an fsync** before it is acknowledged — the full price
-/// of the durability contract. Absolute values are dominated by the
-/// host's fsync latency (tmpfs vs a real disk differ by orders of
-/// magnitude), so read this row per-host, not across hosts.
+/// Journaling **on** over a real file, single thread: each charge leads
+/// a batch of one, an append **plus an fsync** before it is acknowledged
+/// — the full price of the durability contract. Absolute values are
+/// dominated by the host's fsync latency (tmpfs vs a real disk differ by
+/// orders of magnitude), so read this row per-host, not across hosts.
 fn charge_durable_fsync_row(n: usize, reps: usize) -> f64 {
     let dir = std::env::temp_dir().join(format!("sampcert-bench-journal-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -306,7 +315,7 @@ fn charge_durable_fsync_row(n: usize, reps: usize) -> f64 {
         let _ = std::fs::remove_file(&path);
         let storage = FileStorage::open(&path).expect("open journal file");
         let registry: DurableRegistry<PureDp, Dyadic, FileStorage> =
-            DurableRegistry::create(1e9, 1, storage).expect("create journal");
+            DurableRegistry::create_with_budget(budget(), 1, storage).expect("create journal");
         for _ in 0..k {
             registry.charge(0, GAMMA_EACH).expect("budget is ample");
         }
@@ -316,33 +325,36 @@ fn charge_durable_fsync_row(n: usize, reps: usize) -> f64 {
     ns
 }
 
-/// Durable charges from `workers` concurrent threads over a real file,
-/// group commit on or off. Serial mode pays one fsync **per charge**;
-/// group mode elects one enqueuing thread leader per batch, which
-/// appends every queued record and pays one fsync for the whole batch
-/// while the rest block for their stable LSN. The ratio of these two
-/// rows is the committed group-commit speedup — visible even on a
-/// 1-core host, because the fsync wait is time the other threads spend
-/// enqueuing rather than idling.
-fn charge_durable_file_row(workers: usize, group: bool, n: usize, reps: usize) -> f64 {
+/// Durable charges from `workers` concurrent threads over a real file.
+/// With `one_at_a_time` the threads take turns on a bench-local mutex
+/// around each charge, so every batch holds one record and pays one
+/// fsync **per charge**; without it, one enqueuing thread leads each
+/// batch, appending every queued record and paying one fsync for the
+/// whole batch while the rest block for their stable LSN. The ratio of
+/// these two rows is the committed group-commit speedup — visible even
+/// on a 1-core host, because the fsync wait is time the other threads
+/// spend enqueuing rather than idling.
+fn charge_durable_file_row(workers: usize, one_at_a_time: bool, n: usize, reps: usize) -> f64 {
     let dir = std::env::temp_dir().join(format!(
-        "sampcert-bench-group-{}-{group}",
+        "sampcert-bench-group-{}-{one_at_a_time}",
         std::process::id(),
     ));
+    let turn = Mutex::new(());
     std::fs::create_dir_all(&dir).expect("temp dir");
     let ns = ns_per_sample(n, reps, |k| {
         let path = dir.join("bench.scjl");
         let _ = std::fs::remove_file(&path);
         let storage = FileStorage::open(&path).expect("open journal file");
         let registry: DurableRegistry<PureDp, Dyadic, FileStorage> =
-            DurableRegistry::create(1e9, workers, storage)
-                .expect("create journal")
-                .with_group_commit(group);
+            DurableRegistry::create_with_budget(budget(), workers, storage)
+                .expect("create journal");
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let registry = &registry;
+                let turn = &turn;
                 scope.spawn(move || {
                     for _ in 0..k / workers {
+                        let _turn = one_at_a_time.then(|| turn.lock().expect("turn poisoned"));
                         registry
                             .charge(w as u64, GAMMA_EACH)
                             .expect("budget is ample");
@@ -429,10 +441,9 @@ fn journal_compaction_rows(quick: bool) -> Vec<(&'static str, f64)> {
     let _ = std::fs::remove_file(&path);
     let storage = FileStorage::open(&path).expect("open journal file");
     let registry: DurableRegistry<PureDp, Dyadic, FileStorage> =
-        DurableRegistry::create(1e9, 8, storage)
+        DurableRegistry::create_with_budget(budget(), 8, storage)
             .expect("create journal")
-            .with_checkpoint_every(u64::MAX)
-            .with_group_commit(true);
+            .with_checkpoint_every(u64::MAX);
     let charges = if quick { 2_048u64 } else { 16_384 };
     std::thread::scope(|scope| {
         for w in 0..4u64 {
@@ -523,11 +534,11 @@ pub fn measure_all(quick: bool) -> Vec<(&'static str, f64)> {
         // `fsync_t8 / group_t8` is the committed group-commit speedup.
         (
             "charge_durable_fsync_t8",
-            charge_durable_file_row(8, false, n / 16, reps),
+            charge_durable_file_row(8, true, n / 16, reps),
         ),
         (
             "charge_durable_group_t8",
-            charge_durable_file_row(8, true, n / 16, reps),
+            charge_durable_file_row(8, false, n / 16, reps),
         ),
     ]
     .into_iter()

@@ -10,13 +10,15 @@
 //!
 //! # The write-ahead ordering
 //!
-//! Every durable charge performs, under one journal lock:
+//! Every durable charge performs, in order:
 //!
 //! 1. **check** — the admission check against the principal's allowance
 //!    (refusals stop here; nothing is written);
 //! 2. **append + sync** — the charge record is appended to the journal
-//!    and fsynced (a failure here rejects the charge *without* applying
-//!    it: **degrade-to-reject**, never degrade-to-serve-uncharged);
+//!    and fsynced, in one batch with any concurrent charges' records
+//!    (see "Group commit" below); a failure here rejects the charge
+//!    *without* applying it: **degrade-to-reject**, never
+//!    degrade-to-serve-uncharged;
 //! 3. **apply** — only now is the in-memory ledger updated and the caller
 //!    told to release the noised answer.
 //!
@@ -38,13 +40,13 @@
 //! [`JournalError`] without touching storage.
 //! [`journal_error`](DurableRegistry::journal_error) reports the
 //! original failure; recovery is a restart —
-//! [`open`](DurableRegistry::open) over the surviving bytes, whose tail
-//! the torn-tail rule handles.
+//! [`open_with_options`](DurableRegistry::open_with_options) over the
+//! surviving bytes, whose tail the torn-tail rule handles.
 //!
 //! # Group commit
 //!
-//! With [`DurableOptions::group_commit`] enabled, concurrent chargers do
-//! not each pay their own fsync. A charger runs its admission check
+//! Every charge is group-committed, so concurrent chargers do not each
+//! pay their own fsync. A charger runs its admission check
 //! against committed spend **plus** the spend of every record already
 //! enqueued but not yet durable (a *reservation* — without it, two
 //! concurrent chargers could both pass the check and together overshoot
@@ -57,7 +59,8 @@
 //! strength of an unsynced append. A failed batch append/fsync refuses
 //! **every** charge in that batch (their reservations are dropped, the
 //! ledger never moved — degrade-to-reject, batched) and latches the
-//! journal exactly as a serial failure would.
+//! journal. A lone charger leads a batch of one, so its log is the
+//! plain sequence of its records.
 //!
 //! # Compaction
 //!
@@ -139,45 +142,46 @@
 //!
 //! # Checkpoints
 //!
-//! Every [`checkpoint_every`](DurableRegistry::with_checkpoint_every)
-//! charges the registry appends a `CHECKPOINT` record: a consistent
-//! snapshot of every principal's composed spend (consistent because all
-//! durable mutations serialize on the journal lock). On replay a
-//! checkpoint is **authoritative** — state resets to the snapshot and
-//! subsequent charges compose on top — which both bounds the work a
-//! future log-compaction step needs and makes replay insensitive to
-//! anything before the last intact checkpoint. A snapshot too large to
-//! fit one record (past the payload size cap, ~50k principals) is
-//! skipped rather than written: checkpoints only summarize charges that
-//! are already individually journaled, so skipping costs replay time,
-//! never spend — and the cap is enforced at write time precisely so
-//! that replay may treat an oversized frame as corruption instead of
-//! guessing.
+//! Every [`checkpoint_every`](DurableOptions::checkpoint_every) charges
+//! the registry appends a `CHECKPOINT` record: a consistent snapshot of
+//! every principal's composed spend (consistent because the batch leader
+//! takes it after applying its batch, before any later batch can apply).
+//! On replay a checkpoint is **authoritative** — state resets to the
+//! snapshot and subsequent charges compose on top — which both bounds the
+//! work a future log-compaction step needs and makes replay insensitive
+//! to anything before the last intact checkpoint. A snapshot too large to
+//! fit one record (past the payload size cap, ~50k principals) is skipped
+//! rather than written: checkpoints only summarize charges that are
+//! already individually journaled, so skipping costs replay time, never
+//! spend — and the cap is enforced at write time precisely so that replay
+//! may treat an oversized frame as corruption instead of guessing.
 //!
 //! Recovery is **idempotent**: [`replay`] is a pure function of the
 //! journal bytes (nothing is written during replay), so replaying twice —
 //! or on two machines — yields identical ledgers.
-//! [`DurableRegistry::recover`] additionally performs **tail repair**: a
-//! torn fragment is truncated away (one that replayed as charged is first
-//! re-journaled as a proper record, keeping the conservative charge
-//! durable), so the recovered registry's own appends never land after
-//! damage. Repair preserves spend exactly — re-recovering a repaired log
-//! yields the same ledgers the repairing recovery did.
+//! [`DurableRegistry::open_with_options`] additionally performs **tail
+//! repair** when it recovers a log: a torn fragment is truncated away
+//! (one that replayed as charged is first re-journaled as a proper
+//! record, keeping the conservative charge durable), so the recovered
+//! registry's own appends never land after damage. Repair preserves
+//! spend exactly — re-recovering a repaired log yields the same ledgers
+//! the repairing recovery did.
 //!
 //! # Example
 //!
 //! ```
-//! use sampcert_core::{DurableRegistry, MemStorage, PureDp};
+//! use sampcert_core::{Budget, DurableOptions, DurableRegistry, MemStorage, PureDp};
 //! use sampcert_arith::Dyadic;
 //!
+//! type Book = DurableRegistry<PureDp, Dyadic, MemStorage>;
+//! let budget = Dyadic::budget_from_f64(1.0);
 //! let storage = MemStorage::new();
-//! let reg: DurableRegistry<PureDp, Dyadic, _> =
-//!     DurableRegistry::create(1.0, 4, storage.clone()).unwrap();
+//! let reg = Book::create_with_budget(budget.clone(), 4, storage.clone()).unwrap();
 //! reg.charge(7, 0.625).unwrap();
 //! drop(reg); // crash
 //!
 //! let (back, report) =
-//!     DurableRegistry::<PureDp, Dyadic, _>::recover(1.0, 4, storage.reopen()).unwrap();
+//!     Book::open_with_options(budget, 4, storage.reopen(), DurableOptions::default()).unwrap();
 //! assert_eq!(back.spent_exact(7), Dyadic::from_f64_ceil(0.625));
 //! assert!(!report.torn_tail);
 //! ```
@@ -941,6 +945,10 @@ pub struct Recovery<B> {
 pub struct RecoveryReport {
     /// Intact records replayed (header and checkpoints included).
     pub records: usize,
+    /// `CHARGE` records replayed, a torn-tail charge included — the
+    /// number of charge records in the log once tail repair has
+    /// re-journaled that charge.
+    pub charges: usize,
     /// Bytes of the log covered by intact frames — everything before the
     /// torn tail, or the whole log when there is none. Tail repair
     /// truncates to this offset.
@@ -1156,6 +1164,7 @@ pub fn replay<D: AbstractDp, B: Budget>(bytes: &[u8]) -> Result<Recovery<B>, Rec
                             })?;
                         let entry = spent.entry(principal).or_insert_with(B::zero);
                         *entry = B::compose::<D>(entry, &charge);
+                        report.charges += 1;
                     }
                     Some(&KIND_CHECKPOINT) => {
                         let entries =
@@ -1218,6 +1227,7 @@ pub fn replay<D: AbstractDp, B: Budget>(bytes: &[u8]) -> Result<Recovery<B>, Rec
                         let entry = spent.entry(principal).or_insert_with(B::zero);
                         *entry = B::compose::<D>(entry, &charge);
                         report.torn_tail_charged = true;
+                        report.charges += 1;
                         torn_charge = Some((principal, charge));
                     }
                     TailFragment::Dropped => report.torn_tail = true,
@@ -1253,8 +1263,8 @@ struct JournalInner<S> {
     since_checkpoint: u64,
 }
 
-/// The failure latch, shared lock-free between the serial path, the
-/// group-commit path and compaction: set on the first append/sync/replace
+/// The failure latch, shared lock-free between the group-commit path,
+/// checkpoints and compaction: set on the first append/sync/replace
 /// failure, after which every charge is refused without touching storage
 /// (see "Failure latching" in the module docs). Cleared only by a
 /// restart. Lives outside the storage mutex so group-commit enqueuers can
@@ -1310,7 +1320,7 @@ struct GroupState<B> {
     /// pass against committed spend and jointly overshoot the allowance.
     /// Applied (and removed) by the leader only after the batch's fsync
     /// returns; dropped unapplied when a batch fails — so the ledger
-    /// never moves for a refused charge, exactly like the serial path.
+    /// never moves for a refused charge.
     reserved: VecDeque<(u64, u64, B)>,
     /// LSN of the most recently enqueued record.
     enqueued: u64,
@@ -1353,8 +1363,10 @@ impl<B> GroupState<B> {
 pub struct CompactionPolicy {
     /// Compact once the log exceeds this many bytes.
     pub max_bytes: Option<u64>,
-    /// Compact once this many charge records have been appended since
-    /// the last compaction (or recovery).
+    /// Compact once the log holds this many charge records since the
+    /// last compaction, as counted by
+    /// [`journal_records`](DurableRegistry::journal_records) — a restart
+    /// keeps counting the charges already in the log.
     pub max_records: Option<u64>,
 }
 
@@ -1372,7 +1384,7 @@ impl CompactionPolicy {
         }
     }
 
-    /// Compact once `n` records have been appended since the last
+    /// Compact once the log holds `n` charge records since the last
     /// compaction.
     pub fn max_records(n: u64) -> Self {
         CompactionPolicy {
@@ -1390,21 +1402,18 @@ impl CompactionPolicy {
     }
 }
 
-/// Tunables for a [`DurableRegistry`], applied via
-/// [`with_options`](DurableRegistry::with_options) or the session
-/// builder's `.durable_with_policy(path, options)`.
+/// Tunables for a [`DurableRegistry`], applied at
+/// [`open_with_options`](DurableRegistry::open_with_options) or through
+/// the session builder's `.durable_with_options(storage, options)`.
 ///
-/// The default is the recommended serving configuration: group commit
-/// **on**, the standard checkpoint cadence, compaction off (opt in with a
-/// [`CompactionPolicy`]). Note
-/// that `DurableRegistry::create`/`open` themselves default to the serial
-/// fsync-per-charge path for compatibility; options are how callers opt
-/// into batching.
+/// The default is the recommended serving configuration, and the one
+/// [`create_with_budget`](DurableRegistry::create_with_budget) and the
+/// session builder's `.durable(path)` use: the standard checkpoint
+/// cadence, compaction off (opt in with a [`CompactionPolicy`]). Every
+/// charge is group-committed whatever the options (see "Group commit" in
+/// the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableOptions {
-    /// Batch concurrent charges into one fsync (see "Group commit" in
-    /// the module docs).
-    pub group_commit: bool,
     /// Charges between periodic checkpoint records.
     pub checkpoint_every: u64,
     /// When to compact the journal automatically.
@@ -1414,7 +1423,6 @@ pub struct DurableOptions {
 impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
-            group_commit: true,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             compaction: CompactionPolicy::disabled(),
         }
@@ -1422,20 +1430,6 @@ impl Default for DurableOptions {
 }
 
 impl DurableOptions {
-    /// The pre-group-commit behaviour: every charge pays its own fsync.
-    pub fn serial() -> Self {
-        DurableOptions {
-            group_commit: false,
-            ..DurableOptions::default()
-        }
-    }
-
-    /// Sets whether concurrent charges share fsyncs.
-    pub fn group_commit(mut self, enabled: bool) -> Self {
-        self.group_commit = enabled;
-        self
-    }
-
     /// Sets the periodic checkpoint cadence.
     pub fn checkpoint_every(mut self, every: u64) -> Self {
         self.checkpoint_every = every;
@@ -1449,25 +1443,25 @@ impl DurableOptions {
     }
 }
 
-/// The shared innards of a [`DurableRegistry`]: everything except the
-/// background compactor, which holds an `Arc` of this so policy-triggered
-/// compaction can run off the charge path.
+/// The state a [`DurableRegistry`] shares with its background compactor
+/// thread, which holds an `Arc` of it so policy-triggered compaction can
+/// run off the charge path, plus the commit and compaction machinery
+/// over that state.
 ///
-/// All durable mutations serialize on one journal lock (fsync is the
+/// All storage work serializes on one journal lock (fsync is the
 /// bottleneck regardless); reads (`spent_exact`, …) go straight to the
 /// sharded registry.
 struct DurableCore<D: AbstractDp, B: Budget, S: JournalStorage> {
     registry: BudgetRegistry<D, B>,
     journal: Mutex<JournalInner<S>>,
-    /// Group-commit queue + watermarks; used only when `group_commit`.
+    /// Group-commit queue + watermarks.
     group: Mutex<GroupState<B>>,
     group_cv: Condvar,
     latch: Latch,
     checkpoint_every: u64,
-    group_commit: bool,
     compaction: CompactionPolicy,
-    /// Best-effort log size / appended-record counters feeding the
-    /// compaction policy (reset by compaction, approximate after
+    /// Best-effort log size / charge-record counters feeding the
+    /// compaction policy (reset by compaction, seeded from the log at
     /// recovery).
     log_bytes: AtomicU64,
     log_records: AtomicU64,
@@ -1481,369 +1475,6 @@ const DEFAULT_CHECKPOINT_EVERY: u64 = 1024;
 const GATHER_YIELDS: u32 = 4;
 
 impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableCore<D, B, S> {
-    /// Creates a fresh durable registry over empty storage, writing and
-    /// syncing the journal header.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JournalError`] if the header cannot be durably
-    /// written, or if the storage is not empty (use
-    /// [`recover`](Self::recover) or [`open`](Self::open) for existing
-    /// journals).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_principal` is negative or not finite, or `shards`
-    /// is zero.
-    pub fn create(per_principal: f64, shards: usize, storage: S) -> Result<Self, JournalError> {
-        Self::create_with_budget(B::budget_from_f64(per_principal), shards, storage)
-    }
-
-    /// [`create`](Self::create) with the per-principal budget already in
-    /// the carrier.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JournalError`] if the header cannot be durably written
-    /// or the storage is not empty.
-    pub fn create_with_budget(
-        per_principal: B,
-        shards: usize,
-        mut storage: S,
-    ) -> Result<Self, JournalError> {
-        if !storage.is_empty()? {
-            return Err(JournalError::new(
-                "create",
-                "storage not empty; recover it instead",
-            ));
-        }
-        let header = frame(&header_payload::<B>(0));
-        storage.append(&header)?;
-        storage.sync()?;
-        Ok(Self::assemble(
-            BudgetRegistry::with_budget(per_principal, shards),
-            storage,
-            header.len() as u64,
-            0,
-        ))
-    }
-
-    /// Wires a registry + storage into a `DurableCore` with the
-    /// default (serial, no-compaction) options.
-    fn assemble(
-        registry: BudgetRegistry<D, B>,
-        storage: S,
-        log_bytes: u64,
-        log_records: u64,
-    ) -> Self {
-        DurableCore {
-            registry,
-            journal: Mutex::new(JournalInner {
-                storage,
-                since_checkpoint: 0,
-            }),
-            group: Mutex::new(GroupState::new()),
-            group_cv: Condvar::new(),
-            latch: Latch::new(),
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-            group_commit: false,
-            compaction: CompactionPolicy::disabled(),
-            log_bytes: AtomicU64::new(log_bytes),
-            log_records: AtomicU64::new(log_records),
-        }
-    }
-
-    /// Recovers a durable registry by replaying existing storage; returns
-    /// the registry and how the replay went.
-    ///
-    /// Recovered spend is applied **without** admission checks — a
-    /// principal whose replayed (possibly conservatively over-reported)
-    /// spend exceeds the allowance simply has nothing left.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RecoveryError`] if the journal cannot be read or
-    /// replayed (see [`replay`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_principal` is negative or not finite, or `shards`
-    /// is zero.
-    pub fn recover(
-        per_principal: f64,
-        shards: usize,
-        storage: S,
-    ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        Self::recover_with_budget(B::budget_from_f64(per_principal), shards, storage)
-    }
-
-    /// [`recover`](Self::recover) with the budget already in the carrier.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RecoveryError`] if the journal cannot be read or
-    /// replayed.
-    pub fn recover_with_budget(
-        per_principal: B,
-        shards: usize,
-        mut storage: S,
-    ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        let bytes = storage.read_all().map_err(RecoveryError::Io)?;
-        let recovery = replay::<D, B>(&bytes)?;
-        // Tail repair: a torn fragment must not survive into this
-        // generation, or its first append would land after damage and
-        // make the whole log unrecoverable at the *next* restart. The
-        // fragment is truncated away; one the torn-tail rule replayed as
-        // charged is re-journaled as a proper record first, so the
-        // conservative charge stays durable. Spend is unchanged either
-        // way — repair makes re-recovery agree with this one.
-        if recovery.report.torn_tail {
-            storage
-                .truncate(recovery.report.valid_len as u64)
-                .map_err(RecoveryError::Io)?;
-            if let Some((principal, charge)) = &recovery.torn_charge {
-                storage
-                    .append(&frame(&charge_payload(*principal, charge)))
-                    .and_then(|()| storage.sync())
-                    .map_err(RecoveryError::Io)?;
-            }
-        }
-        let registry = BudgetRegistry::with_budget(per_principal, shards);
-        for (principal, spent) in &recovery.spent {
-            registry.apply_unchecked(*principal, spent);
-        }
-        let log_bytes = storage.len().map_err(RecoveryError::Io)?;
-        Ok((
-            Self::assemble(registry, storage, log_bytes, recovery.report.records as u64),
-            recovery.report,
-        ))
-    }
-
-    /// Creates over empty storage, recovers otherwise — the restartable
-    /// entry point [`Session`](crate::Session)'s `.durable(path)` uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RecoveryError`] on I/O failure or unreplayable
-    /// contents.
-    pub fn open(
-        per_principal: f64,
-        shards: usize,
-        storage: S,
-    ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        Self::open_with_budget(B::budget_from_f64(per_principal), shards, storage)
-    }
-
-    /// [`open`](Self::open) with the budget already in the carrier.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RecoveryError`] on I/O failure or unreplayable
-    /// contents.
-    pub fn open_with_budget(
-        per_principal: B,
-        shards: usize,
-        mut storage: S,
-    ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        if storage.is_empty().map_err(RecoveryError::Io)? {
-            let created = Self::create_with_budget(per_principal, shards, storage)
-                .map_err(RecoveryError::Io)?;
-            Ok((created, RecoveryReport::default()))
-        } else {
-            Self::recover_with_budget(per_principal, shards, storage)
-        }
-    }
-
-    /// Returns this registry with a different checkpoint cadence (a
-    /// snapshot record every `every` charges; `u64::MAX` effectively
-    /// disables them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn with_checkpoint_every(mut self, every: u64) -> Self {
-        assert!(every > 0, "checkpoint cadence must be positive");
-        self.checkpoint_every = every;
-        self
-    }
-
-    /// Returns this registry with group commit enabled or disabled (see
-    /// "Group commit" in the module docs). Off by default in
-    /// [`create`](Self::create)/[`open`](Self::open).
-    pub fn with_group_commit(mut self, enabled: bool) -> Self {
-        self.group_commit = enabled;
-        self
-    }
-
-    /// Returns this registry with an automatic compaction policy (see
-    /// "Compaction" in the module docs). Disabled by default.
-    pub fn with_compaction(mut self, policy: CompactionPolicy) -> Self {
-        self.compaction = policy;
-        self
-    }
-
-    /// Applies a whole [`DurableOptions`] at once.
-    pub fn with_options(self, options: DurableOptions) -> Self {
-        self.with_checkpoint_every(options.checkpoint_every)
-            .with_group_commit(options.group_commit)
-            .with_compaction(options.compaction)
-    }
-
-    /// A read-only view of the underlying in-memory registry (reads are
-    /// lock-free of the journal). The view exposes no mutation: every
-    /// durable charge must go through [`charge`](Self::charge) and
-    /// friends so that it hits the write-ahead journal — spend recorded
-    /// behind the journal's back would vanish on recovery.
-    pub fn registry(&self) -> RegistryView<'_, D, B> {
-        RegistryView::new(&self.registry)
-    }
-
-    /// The failure that latched the journal closed, if any. While this is
-    /// `Some`, every charge is refused without touching storage (see
-    /// "Failure latching" in the module docs); recovery is a restart over
-    /// the surviving bytes ([`open`](Self::open)).
-    pub fn journal_error(&self) -> Option<JournalError> {
-        self.latch.get()
-    }
-
-    /// Current journal size in bytes (best-effort counter: exact for the
-    /// serial and group paths, reset by compaction, initialized from the
-    /// storage length at recovery).
-    pub fn journal_bytes(&self) -> u64 {
-        self.log_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Records appended since the last compaction (or recovery).
-    pub fn journal_records(&self) -> u64 {
-        self.log_records.load(Ordering::Relaxed)
-    }
-
-    /// Total spent by `principal`, in the carrier.
-    pub fn spent_exact(&self, principal: u64) -> B {
-        self.registry.spent_exact(principal)
-    }
-
-    /// Remaining allowance of `principal`, in the carrier.
-    pub fn remaining_exact(&self, principal: u64) -> B {
-        self.registry.remaining_exact(principal)
-    }
-
-    /// Durably records a release by `principal` costing `gamma`
-    /// (converted **upward** into the carrier): check, append + fsync,
-    /// then apply.
-    ///
-    /// # Errors
-    ///
-    /// [`DurableChargeError::Budget`] if the allowance refuses;
-    /// [`DurableChargeError::Journal`] if the write-ahead record cannot
-    /// be durably written — the charge is then **not** applied and no
-    /// answer may be released (degrade-to-reject).
-    pub fn charge(&self, principal: u64, gamma: f64) -> Result<(), DurableChargeError<B>> {
-        assert!(gamma.is_finite() && gamma >= 0.0, "invalid charge");
-        self.charge_exact(principal, B::charge_from_f64(gamma))
-    }
-
-    /// Durably records a batch of `count` releases of `gamma_each` as a
-    /// single composed journal record; all-or-nothing.
-    ///
-    /// # Errors
-    ///
-    /// As for [`charge`](Self::charge).
-    pub fn charge_batch(
-        &self,
-        principal: u64,
-        gamma_each: f64,
-        count: u64,
-    ) -> Result<(), DurableChargeError<B>> {
-        assert!(
-            gamma_each.is_finite() && gamma_each >= 0.0,
-            "invalid charge"
-        );
-        let total = B::compose_n::<D>(&B::charge_from_f64(gamma_each), count);
-        if !total.is_valid() {
-            let remaining = self.registry.remaining_exact(principal);
-            return Err(DurableChargeError::Budget(
-                BudgetExceeded::new(total, remaining).for_principal(principal),
-            ));
-        }
-        self.charge_exact(principal, total)
-    }
-
-    /// Durably records a charge already in the carrier.
-    ///
-    /// # Errors
-    ///
-    /// As for [`charge`](Self::charge).
-    pub fn charge_exact(&self, principal: u64, gamma: B) -> Result<(), DurableChargeError<B>> {
-        assert!(gamma.is_valid(), "invalid charge");
-        let payload = charge_payload(principal, &gamma);
-        if payload.len() > MAX_PAYLOAD as usize {
-            // Nothing was written, so no latch — but the record cannot be
-            // framed within the cap replay enforces.
-            return Err(DurableChargeError::Journal(JournalError::new(
-                "append",
-                "charge record exceeds the maximum payload size",
-            )));
-        }
-        let record = frame(&payload);
-        if self.group_commit {
-            self.charge_grouped(principal, gamma, record)
-        } else {
-            self.charge_serial(principal, gamma, record)
-        }
-    }
-
-    /// The serial path: one journal lock across check → append + fsync →
-    /// apply; every charge pays its own fsync.
-    fn charge_serial(
-        &self,
-        principal: u64,
-        gamma: B,
-        record: Vec<u8>,
-    ) -> Result<(), DurableChargeError<B>> {
-        let mut inner = self.journal.lock().expect("journal poisoned");
-        // 0. Latched journals refuse everything without touching storage:
-        //    appending past a torn fragment would make the log
-        //    unrecoverable.
-        if let Some(err) = self.latch.get() {
-            return Err(DurableChargeError::Journal(Latch::latched_error(&err)));
-        }
-        // 1. Check: refusals write nothing.
-        self.registry
-            .check_exact(principal, &gamma)
-            .map_err(DurableChargeError::Budget)?;
-        // 2. Append + sync: failure rejects without applying AND latches
-        //    the journal (the append may have left a torn fragment; the
-        //    sync leaves the tail's durability unknown).
-        if let Err(e) = inner
-            .storage
-            .append(&record)
-            .and_then(|()| inner.storage.sync())
-        {
-            self.latch.set(e.clone());
-            return Err(DurableChargeError::Journal(e));
-        }
-        self.log_bytes
-            .fetch_add(record.len() as u64, Ordering::Relaxed);
-        self.log_records.fetch_add(1, Ordering::Relaxed);
-        // 3. Apply: the charge is durable; release the answer.
-        self.registry.apply_unchecked(principal, &gamma);
-        inner.since_checkpoint += 1;
-        if inner.since_checkpoint >= self.checkpoint_every {
-            match self.write_checkpoint(&mut inner.storage) {
-                // Written, or skipped as oversized (the charges a
-                // checkpoint summarizes are already journaled, so a skip
-                // loses nothing); either way the cadence restarts.
-                Ok(_) => inner.since_checkpoint = 0,
-                // A failed checkpoint append can tear the log just like a
-                // failed charge append — latch. The charge itself is
-                // already durable, so it still succeeds.
-                Err(e) => self.latch.set(e),
-            }
-        }
-        Ok(())
-    }
-
     /// The group-commit path: check against committed **plus reserved**
     /// spend, enqueue, and wait for the stable LSN to cover the record —
     /// leading a batch (append all + one fsync, then apply) when no
@@ -1888,7 +1519,7 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableCore<D, B, S> {
                 // durable: this charge was in (or behind) the failing
                 // batch. Its reservation is already dropped and the
                 // ledger never moved — refuse with the original failure,
-                // as the serial path refuses the failing charge.
+                // like every other charge in the failing batch.
                 return Err(DurableChargeError::Journal(err));
             }
             if !g.leader_active && g.taken < g.enqueued {
@@ -1990,40 +1621,40 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableCore<D, B, S> {
         g
     }
 
-    /// Appends a checkpoint snapshot immediately.
+    /// The pause-and-drain step under checkpoints and compaction: gates
+    /// new enqueues, waits until no batch is queued or in flight (so every
+    /// appended record is applied and a snapshot covers exactly the
+    /// records in the log), runs `work` under the journal lock, and
+    /// reopens the gate. One pause at a time, so racing automatic
+    /// triggers collapse into an explicit call.
     ///
     /// # Errors
     ///
-    /// Returns a [`JournalError`] if the journal is latched, if the
-    /// snapshot is too large to fit one record (nothing is written; the
-    /// charges it would summarize are already individually journaled), or
-    /// if the write fails — the last case latches the journal, since the
-    /// failed append may have torn the log.
-    pub fn checkpoint_now(&self) -> Result<(), JournalError> {
-        if self.group_commit {
-            // Wait for in-flight batches so the snapshot covers exactly
-            // the records already in the log (queued-but-unappended
-            // charges follow it and compose on top — still sound). The
-            // group lock is held across the journal work, excluding new
-            // leaders.
-            let mut g = self.group.lock().expect("group state poisoned");
-            // Bail on latch: a latched journal never drains (refused
-            // records can sit in the queue with no leader coming).
-            while self.latch.get().is_none() && (g.leader_active || !g.queue.is_empty()) {
-                g = self.group_cv.wait(g).expect("group state poisoned");
-            }
-            if let Some(err) = self.latch.get() {
-                return Err(Latch::latched_error(&err));
-            }
-            let mut inner = self.journal.lock().expect("journal poisoned");
-            self.checkpoint_locked(&mut inner)
-        } else {
-            let mut inner = self.journal.lock().expect("journal poisoned");
-            if let Some(err) = self.latch.get() {
-                return Err(Latch::latched_error(&err));
-            }
-            self.checkpoint_locked(&mut inner)
+    /// The latch, if the journal is latched (a latched journal never
+    /// drains: refused records can sit in the queue with no leader
+    /// coming); otherwise whatever `work` returns.
+    fn drained(
+        &self,
+        work: impl FnOnce(&mut JournalInner<S>) -> Result<(), JournalError>,
+    ) -> Result<(), JournalError> {
+        let mut g = self.group.lock().expect("group state poisoned");
+        while g.paused {
+            g = self.group_cv.wait(g).expect("group state poisoned");
         }
+        g.paused = true;
+        // Chargers already enqueued keep leading batches (the gate only
+        // stops *new* enqueues), so this terminates.
+        while self.latch.get().is_none() && (g.leader_active || !g.queue.is_empty()) {
+            g = self.group_cv.wait(g).expect("group state poisoned");
+        }
+        let result = if let Some(err) = self.latch.get() {
+            Err(Latch::latched_error(&err))
+        } else {
+            work(&mut self.journal.lock().expect("journal poisoned"))
+        };
+        g.paused = false;
+        self.group_cv.notify_all();
+        result
     }
 
     fn checkpoint_locked(&self, inner: &mut JournalInner<S>) -> Result<(), JournalError> {
@@ -2058,55 +1689,6 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableCore<D, B, S> {
         self.log_bytes
             .fetch_add(record.len() as u64, Ordering::Relaxed);
         Ok(true)
-    }
-
-    /// Compacts the journal now: rewrites it as a fresh header plus a
-    /// chunked snapshot of every principal's spend, through the
-    /// crash-safe [`JournalStorage::replace_with`] swap. Bounds the log
-    /// at (snapshot size + subsequently appended tail) while preserving
-    /// exactly the ledgers a replay of the full history would produce.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JournalError`] if the journal is latched, if a single
-    /// snapshot entry cannot fit a record (nothing written, no latch), or
-    /// if the swap fails — which **latches** the journal: mid-swap, the
-    /// handle can no longer tell which complete log survives (both
-    /// recover soundly at restart).
-    pub fn compact_now(&self) -> Result<(), JournalError> {
-        if self.group_commit {
-            let mut g = self.group.lock().expect("group state poisoned");
-            // One compaction at a time; also lets racing auto-triggers
-            // collapse into the explicit call.
-            while g.paused {
-                g = self.group_cv.wait(g).expect("group state poisoned");
-            }
-            g.paused = true;
-            // Drain: chargers already enqueued keep leading batches (the
-            // pause gate only stops *new* enqueues), so this terminates;
-            // once the queue is empty and no leader is active, every
-            // appended record is applied and the snapshot is exact. Bail
-            // on latch — a latched journal never drains (refused records
-            // can sit in the queue with no leader coming).
-            while self.latch.get().is_none() && (g.leader_active || !g.queue.is_empty()) {
-                g = self.group_cv.wait(g).expect("group state poisoned");
-            }
-            let result = if let Some(err) = self.latch.get() {
-                Err(Latch::latched_error(&err))
-            } else {
-                let mut inner = self.journal.lock().expect("journal poisoned");
-                self.compact_locked(&mut inner)
-            };
-            g.paused = false;
-            self.group_cv.notify_all();
-            result
-        } else {
-            let mut inner = self.journal.lock().expect("journal poisoned");
-            if let Some(err) = self.latch.get() {
-                return Err(Latch::latched_error(&err));
-            }
-            self.compact_locked(&mut inner)
-        }
     }
 
     fn compact_locked(&self, inner: &mut JournalInner<S>) -> Result<(), JournalError> {
@@ -2192,7 +1774,7 @@ impl CompactorHandle {
                 }
                 flags.requested = false;
                 drop(flags);
-                let _ = core.compact_now();
+                let _ = core.drained(|inner| core.compact_locked(inner));
             })
             .expect("spawn compactor thread");
         CompactorHandle {
@@ -2226,11 +1808,10 @@ impl Drop for CompactorHandle {
 /// A [`BudgetRegistry`] whose every accepted charge is durably journaled
 /// before it is applied.
 ///
-/// See the module docs for the write-ahead ordering, record format,
-/// torn-tail rule and checkpoint semantics. All durable mutations
-/// serialize on one journal lock (fsync is the bottleneck regardless);
-/// reads ([`spent_exact`](Self::spent_exact), …) go straight to the
-/// sharded registry.
+/// See the module docs for the write-ahead ordering, group commit, record
+/// format, torn-tail rule and checkpoint semantics. Reads
+/// ([`spent_exact`](Self::spent_exact), …) go straight to the sharded
+/// registry, never through the journal lock.
 ///
 /// When an automatic [`CompactionPolicy`] is set, policy-triggered
 /// compaction runs on a dedicated background thread: the acknowledging
@@ -2248,69 +1829,52 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> std::fmt::Debug for DurableReg
         f.debug_struct("DurableRegistry")
             .field("registry", &self.core.registry)
             .field("checkpoint_every", &self.core.checkpoint_every)
-            .field("group_commit", &self.core.group_commit)
             .field("compaction", &self.core.compaction)
             .finish()
     }
 }
 
 impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
-    /// Shares the core and spawns the compactor iff the policy asks for
-    /// one.
-    fn wrap(core: DurableCore<D, B, S>) -> Self {
-        let core = Arc::new(core);
-        let compactor = core
-            .compaction
-            .enabled()
-            .then(|| CompactorHandle::spawn(Arc::clone(&core)));
-        DurableRegistry { core, compactor }
-    }
-
-    /// Reclaims sole ownership of the core for a `with_*` rebuild: joins
-    /// the compactor (releasing its `Arc`), then unwraps.
-    fn into_core(self) -> DurableCore<D, B, S> {
-        let DurableRegistry { core, compactor } = self;
-        drop(compactor);
-        Arc::try_unwrap(core)
-            .ok()
-            .expect("compactor joined; no other handle on the core exists")
-    }
-
-    /// Creates a fresh durable registry over empty storage, writing and
-    /// syncing the journal header.
+    /// Creates a fresh durable registry over empty storage with the
+    /// default [`DurableOptions`], writing and syncing the journal
+    /// header.
     ///
     /// # Errors
     ///
     /// Returns a [`JournalError`] if the header cannot be durably
     /// written, or if the storage is not empty (use
-    /// [`recover`](Self::recover) or [`open`](Self::open) for existing
+    /// [`open_with_options`](Self::open_with_options) for existing
     /// journals).
     ///
     /// # Panics
     ///
-    /// Panics if `per_principal` is negative or not finite, or `shards`
-    /// is zero.
-    pub fn create(per_principal: f64, shards: usize, storage: S) -> Result<Self, JournalError> {
-        DurableCore::create(per_principal, shards, storage).map(Self::wrap)
-    }
-
-    /// [`create`](Self::create) with the per-principal budget already in
-    /// the carrier.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JournalError`] if the header cannot be durably written
-    /// or the storage is not empty.
+    /// Panics if `per_principal` is not a valid budget quantity or
+    /// `shards` is zero.
     pub fn create_with_budget(
         per_principal: B,
         shards: usize,
-        storage: S,
+        mut storage: S,
     ) -> Result<Self, JournalError> {
-        DurableCore::create_with_budget(per_principal, shards, storage).map(Self::wrap)
+        if !storage.is_empty()? {
+            return Err(JournalError::new(
+                "create",
+                "storage not empty; recover it instead",
+            ));
+        }
+        let log_bytes = Self::write_header(&mut storage)?;
+        Ok(Self::assemble(
+            BudgetRegistry::with_budget(per_principal, shards),
+            storage,
+            log_bytes,
+            0,
+            DurableOptions::default(),
+        ))
     }
 
-    /// Recovers a durable registry by replaying existing storage; returns
-    /// the registry and how the replay went.
+    /// Creates over empty storage, recovers otherwise — the restartable
+    /// entry point behind [`Session`](crate::Session)'s `.durable(path)`
+    /// — and returns the registry with how the replay went (the default
+    /// report when the storage was empty).
     ///
     /// Recovered spend is applied **without** admission checks — a
     /// principal whose replayed (possibly conservatively over-reported)
@@ -2318,84 +1882,97 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
     ///
     /// # Errors
     ///
-    /// Returns a [`RecoveryError`] if the journal cannot be read or
-    /// replayed (see [`replay`]).
+    /// Returns a [`RecoveryError`] on I/O failure or if the journal
+    /// cannot be replayed (see [`replay`]).
     ///
     /// # Panics
     ///
-    /// Panics if `per_principal` is negative or not finite, or `shards`
-    /// is zero.
-    pub fn recover(
-        per_principal: f64,
-        shards: usize,
-        storage: S,
-    ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        DurableCore::recover(per_principal, shards, storage)
-            .map(|(core, report)| (Self::wrap(core), report))
-    }
-
-    /// [`recover`](Self::recover) with the budget already in the carrier.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RecoveryError`] if the journal cannot be read or
-    /// replayed.
-    pub fn recover_with_budget(
-        per_principal: B,
-        shards: usize,
-        storage: S,
-    ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        DurableCore::recover_with_budget(per_principal, shards, storage)
-            .map(|(core, report)| (Self::wrap(core), report))
-    }
-
-    /// Creates over empty storage, recovers otherwise — the restartable
-    /// entry point [`Session`](crate::Session)'s `.durable(path)` uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RecoveryError`] on I/O failure or unreplayable
-    /// contents.
-    pub fn open(
-        per_principal: f64,
-        shards: usize,
-        storage: S,
-    ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        DurableCore::open(per_principal, shards, storage)
-            .map(|(core, report)| (Self::wrap(core), report))
-    }
-
-    /// [`open`](Self::open) with the budget already in the carrier.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RecoveryError`] on I/O failure or unreplayable
-    /// contents.
-    pub fn open_with_budget(
-        per_principal: B,
-        shards: usize,
-        storage: S,
-    ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        DurableCore::open_with_budget(per_principal, shards, storage)
-            .map(|(core, report)| (Self::wrap(core), report))
-    }
-
-    /// [`open_with_budget`](Self::open_with_budget) plus
-    /// [`DurableOptions`] — the entry point behind the session builder's
-    /// `.durable_with_policy(path, options)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RecoveryError`] on I/O failure or unreplayable
-    /// contents.
+    /// Panics if `per_principal` is not a valid budget quantity, `shards`
+    /// is zero, or `options.checkpoint_every` is zero.
     pub fn open_with_options(
         per_principal: B,
         shards: usize,
-        storage: S,
+        mut storage: S,
         options: DurableOptions,
     ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        let (registry, report) = Self::open_with_budget(per_principal, shards, storage)?;
-        Ok((registry.with_options(options), report))
+        let registry = BudgetRegistry::with_budget(per_principal, shards);
+        if storage.is_empty().map_err(RecoveryError::Io)? {
+            let log_bytes = Self::write_header(&mut storage).map_err(RecoveryError::Io)?;
+            let created = Self::assemble(registry, storage, log_bytes, 0, options);
+            return Ok((created, RecoveryReport::default()));
+        }
+        let bytes = storage.read_all().map_err(RecoveryError::Io)?;
+        let recovery = replay::<D, B>(&bytes)?;
+        // Tail repair: a torn fragment must not survive into this
+        // generation, or its first append would land after damage and
+        // make the whole log unrecoverable at the *next* restart. The
+        // fragment is truncated away; one the torn-tail rule replayed as
+        // charged is re-journaled as a proper record first, so the
+        // conservative charge stays durable. Spend is unchanged either
+        // way — repair makes re-recovery agree with this one.
+        if recovery.report.torn_tail {
+            storage
+                .truncate(recovery.report.valid_len as u64)
+                .map_err(RecoveryError::Io)?;
+            if let Some((principal, charge)) = &recovery.torn_charge {
+                storage
+                    .append(&frame(&charge_payload(*principal, charge)))
+                    .and_then(|()| storage.sync())
+                    .map_err(RecoveryError::Io)?;
+            }
+        }
+        for (principal, spent) in &recovery.spent {
+            registry.apply_unchecked(*principal, spent);
+        }
+        let log_bytes = storage.len().map_err(RecoveryError::Io)?;
+        let log_records = recovery.report.charges as u64;
+        Ok((
+            Self::assemble(registry, storage, log_bytes, log_records, options),
+            recovery.report,
+        ))
+    }
+
+    /// Appends and syncs the header of a fresh journal; returns its
+    /// length in bytes.
+    fn write_header(storage: &mut S) -> Result<u64, JournalError> {
+        let header = frame(&header_payload::<B>(0));
+        storage.append(&header)?;
+        storage.sync()?;
+        Ok(header.len() as u64)
+    }
+
+    /// Wires a registry + storage into a shared core and spawns the
+    /// compactor iff the policy asks for one.
+    fn assemble(
+        registry: BudgetRegistry<D, B>,
+        storage: S,
+        log_bytes: u64,
+        log_records: u64,
+        options: DurableOptions,
+    ) -> Self {
+        assert!(
+            options.checkpoint_every > 0,
+            "checkpoint cadence must be positive"
+        );
+        let core = Arc::new(DurableCore {
+            registry,
+            journal: Mutex::new(JournalInner {
+                storage,
+                since_checkpoint: 0,
+            }),
+            group: Mutex::new(GroupState::new()),
+            group_cv: Condvar::new(),
+            latch: Latch::new(),
+            checkpoint_every: options.checkpoint_every,
+            compaction: options.compaction,
+            log_bytes: AtomicU64::new(log_bytes),
+            log_records: AtomicU64::new(log_records),
+        });
+        let compactor = core
+            .compaction
+            .enabled()
+            .then(|| CompactorHandle::spawn(Arc::clone(&core)));
+        DurableRegistry { core, compactor }
     }
 
     /// Returns this registry with a different checkpoint cadence (a
@@ -2404,28 +1981,16 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
     ///
     /// # Panics
     ///
-    /// Panics if `every` is zero.
-    pub fn with_checkpoint_every(self, every: u64) -> Self {
-        Self::wrap(self.into_core().with_checkpoint_every(every))
-    }
-
-    /// Returns this registry with group commit enabled or disabled (see
-    /// "Group commit" in the module docs). Off by default in
-    /// [`create`](Self::create)/[`open`](Self::open).
-    pub fn with_group_commit(self, enabled: bool) -> Self {
-        Self::wrap(self.into_core().with_group_commit(enabled))
-    }
-
-    /// Returns this registry with an automatic compaction policy (see
-    /// "Compaction" in the module docs), (re)spawning or retiring the
-    /// background compactor as needed. Disabled by default.
-    pub fn with_compaction(self, policy: CompactionPolicy) -> Self {
-        Self::wrap(self.into_core().with_compaction(policy))
-    }
-
-    /// Applies a whole [`DurableOptions`] at once.
-    pub fn with_options(self, options: DurableOptions) -> Self {
-        Self::wrap(self.into_core().with_options(options))
+    /// Panics if `every` is zero, or if the registry runs a background
+    /// compactor (opened with an enabled [`CompactionPolicy`]), which
+    /// shares its state — pass the cadence in
+    /// [`DurableOptions::checkpoint_every`] there.
+    pub fn with_checkpoint_every(mut self, every: u64) -> Self {
+        assert!(every > 0, "checkpoint cadence must be positive");
+        Arc::get_mut(&mut self.core)
+            .expect("set the cadence through DurableOptions when compaction is enabled")
+            .checkpoint_every = every;
+        self
     }
 
     /// A read-only view of the underlying in-memory registry (reads are
@@ -2434,37 +1999,40 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
     /// friends so that it hits the write-ahead journal — spend recorded
     /// behind the journal's back would vanish on recovery.
     pub fn registry(&self) -> RegistryView<'_, D, B> {
-        self.core.registry()
+        RegistryView::new(&self.core.registry)
     }
 
     /// The failure that latched the journal closed, if any. While this is
     /// `Some`, every charge is refused without touching storage (see
     /// "Failure latching" in the module docs); recovery is a restart over
-    /// the surviving bytes ([`open`](Self::open)).
+    /// the surviving bytes ([`open_with_options`](Self::open_with_options)).
     pub fn journal_error(&self) -> Option<JournalError> {
-        self.core.journal_error()
+        self.core.latch.get()
     }
 
-    /// Current journal size in bytes (best-effort counter: exact for the
-    /// serial and group paths, reset by compaction, initialized from the
-    /// storage length at recovery).
+    /// Current journal size in bytes (best-effort counter: exact while
+    /// running, reset by compaction, initialized from the storage length
+    /// at recovery).
     pub fn journal_bytes(&self) -> u64 {
-        self.core.journal_bytes()
+        self.core.log_bytes.load(Ordering::Relaxed)
     }
 
-    /// Records appended since the last compaction (or recovery).
+    /// Charge records in the log since the last compaction: counted as
+    /// they are appended, and seeded at recovery with the charge records
+    /// in the repaired log (header, checkpoint and snapshot records never
+    /// count).
     pub fn journal_records(&self) -> u64 {
-        self.core.journal_records()
+        self.core.log_records.load(Ordering::Relaxed)
     }
 
     /// Total spent by `principal`, in the carrier.
     pub fn spent_exact(&self, principal: u64) -> B {
-        self.core.spent_exact(principal)
+        self.core.registry.spent_exact(principal)
     }
 
     /// Remaining allowance of `principal`, in the carrier.
     pub fn remaining_exact(&self, principal: u64) -> B {
-        self.core.remaining_exact(principal)
+        self.core.registry.remaining_exact(principal)
     }
 
     /// Durably records a release by `principal` costing `gamma`
@@ -2478,11 +2046,8 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
     /// be durably written — the charge is then **not** applied and no
     /// answer may be released (degrade-to-reject).
     pub fn charge(&self, principal: u64, gamma: f64) -> Result<(), DurableChargeError<B>> {
-        let result = self.core.charge(principal, gamma);
-        if result.is_ok() {
-            self.kick_compactor();
-        }
-        result
+        assert!(gamma.is_finite() && gamma >= 0.0, "invalid charge");
+        self.charge_exact(principal, B::charge_from_f64(gamma))
     }
 
     /// Durably records a batch of `count` releases of `gamma_each` as a
@@ -2497,11 +2062,18 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
         gamma_each: f64,
         count: u64,
     ) -> Result<(), DurableChargeError<B>> {
-        let result = self.core.charge_batch(principal, gamma_each, count);
-        if result.is_ok() {
-            self.kick_compactor();
+        assert!(
+            gamma_each.is_finite() && gamma_each >= 0.0,
+            "invalid charge"
+        );
+        let total = B::compose_n::<D>(&B::charge_from_f64(gamma_each), count);
+        if !total.is_valid() {
+            let remaining = self.core.registry.remaining_exact(principal);
+            return Err(DurableChargeError::Budget(
+                BudgetExceeded::new(total, remaining).for_principal(principal),
+            ));
         }
-        result
+        self.charge_exact(principal, total)
     }
 
     /// Durably records a charge already in the carrier.
@@ -2510,14 +2082,26 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
     ///
     /// As for [`charge`](Self::charge).
     pub fn charge_exact(&self, principal: u64, gamma: B) -> Result<(), DurableChargeError<B>> {
-        let result = self.core.charge_exact(principal, gamma);
+        assert!(gamma.is_valid(), "invalid charge");
+        let payload = charge_payload(principal, &gamma);
+        if payload.len() > MAX_PAYLOAD as usize {
+            // Nothing was written, so no latch — but the record cannot be
+            // framed within the cap replay enforces.
+            return Err(DurableChargeError::Journal(JournalError::new(
+                "append",
+                "charge record exceeds the maximum payload size",
+            )));
+        }
+        let result = self.core.charge_grouped(principal, gamma, frame(&payload));
         if result.is_ok() {
             self.kick_compactor();
         }
         result
     }
 
-    /// Appends a checkpoint snapshot immediately.
+    /// Appends a checkpoint snapshot immediately, once in-flight batches
+    /// have drained (queued-but-unappended charges follow it and compose
+    /// on top — still sound).
     ///
     /// # Errors
     ///
@@ -2527,7 +2111,8 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
     /// if the write fails — the last case latches the journal, since the
     /// failed append may have torn the log.
     pub fn checkpoint_now(&self) -> Result<(), JournalError> {
-        self.core.checkpoint_now()
+        self.core
+            .drained(|inner| self.core.checkpoint_locked(inner))
     }
 
     /// Compacts the journal now, on the calling thread: rewrites it as a
@@ -2545,7 +2130,7 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
     /// handle can no longer tell which complete log survives (both
     /// recover soundly at restart).
     pub fn compact_now(&self) -> Result<(), JournalError> {
-        self.core.compact_now()
+        self.core.drained(|inner| self.core.compact_locked(inner))
     }
 
     /// After an acknowledged charge: wake the background compactor if the
@@ -2568,26 +2153,61 @@ mod tests {
     use std::time::{Duration, Instant};
 
     type Exact = DurableRegistry<PureDp, Dyadic, MemStorage>;
+    type Float = DurableRegistry<PureDp, f64, MemStorage>;
+
+    /// A fresh registry with the default options over empty `storage`.
+    fn create(per_principal: f64, shards: usize, storage: MemStorage) -> Exact {
+        Exact::create_with_budget(Dyadic::budget_from_f64(per_principal), shards, storage).unwrap()
+    }
+
+    /// Creates over empty `storage`, recovers otherwise — a restart with
+    /// the default options.
+    fn reopen(
+        per_principal: f64,
+        shards: usize,
+        storage: MemStorage,
+    ) -> Result<(Exact, RecoveryReport), RecoveryError> {
+        Exact::open_with_options(
+            Dyadic::budget_from_f64(per_principal),
+            shards,
+            storage,
+            DurableOptions::default(),
+        )
+    }
+
+    /// A fresh registry over empty `storage` with explicit options.
+    fn create_with(
+        per_principal: f64,
+        shards: usize,
+        storage: MemStorage,
+        options: DurableOptions,
+    ) -> Exact {
+        let budget = Dyadic::budget_from_f64(per_principal);
+        Exact::open_with_options(budget, shards, storage, options)
+            .unwrap()
+            .0
+    }
 
     #[test]
     fn create_charge_recover_is_exact() {
         let storage = MemStorage::new();
-        let reg = Exact::create(1.0, 4, storage.clone()).unwrap();
+        let reg = create(1.0, 4, storage.clone());
         reg.charge(1, 0.25).unwrap();
         reg.charge(2, 0.5).unwrap();
         reg.charge(1, 0.125).unwrap();
         drop(reg);
-        let (back, report) = Exact::recover(1.0, 4, storage.reopen()).unwrap();
+        let (back, report) = reopen(1.0, 4, storage.reopen()).unwrap();
         assert_eq!(back.spent_exact(1), Dyadic::from_f64_ceil(0.375));
         assert_eq!(back.spent_exact(2), Dyadic::from_f64_ceil(0.5));
         assert_eq!(report.records, 4, "header + 3 charges");
+        assert_eq!(report.charges, 3);
         assert!(!report.torn_tail);
     }
 
     #[test]
     fn recovery_is_idempotent() {
         let storage = MemStorage::new();
-        let reg = Exact::create(1.0, 2, storage.clone()).unwrap();
+        let reg = create(1.0, 2, storage.clone());
         for p in 0..10 {
             reg.charge(p, 0.0625).unwrap();
         }
@@ -2602,35 +2222,38 @@ mod tests {
         let storage = MemStorage::new();
         // Header sync (1) succeeds; the first charge's sync fails.
         let faulty = storage.clone().with_plan(FaultPlan::fail_sync_after(1));
-        let reg = Exact::create(1.0, 2, faulty).unwrap();
+        let reg = create(1.0, 2, faulty);
         let err = reg.charge(7, 0.25).unwrap_err();
         assert!(matches!(err, DurableChargeError::Journal(_)));
         // Degrade-to-reject: the in-memory ledger did not move.
         assert_eq!(reg.spent_exact(7), Dyadic::zero());
         // And whatever bytes were buffered, recovery only over-reports:
-        let (back, _) = Exact::recover(1.0, 2, storage.reopen()).unwrap();
+        let (back, _) = reopen(1.0, 2, storage.reopen()).unwrap();
         assert!(back.spent_exact(7) >= Dyadic::zero());
     }
 
     #[test]
     fn torn_tail_with_decodable_charge_replays_as_charged() {
         let storage = MemStorage::new();
-        let reg = Exact::create(1.0, 2, storage.clone()).unwrap();
+        let reg = create(1.0, 2, storage.clone());
         reg.charge(1, 0.25).unwrap();
         reg.charge(2, 0.5).unwrap();
         drop(reg);
         // Chop the last record's checksum off: payload intact, crc gone.
         let bytes = storage.contents();
         storage.truncate(bytes.len() - 4);
-        let (back, report) = Exact::recover(1.0, 2, storage.reopen()).unwrap();
+        let (back, report) = reopen(1.0, 2, storage.reopen()).unwrap();
         assert!(report.torn_tail);
         assert!(report.torn_tail_charged);
         assert_eq!(back.spent_exact(2), Dyadic::from_f64_ceil(0.5));
+        // Both charges count, the torn one re-journaled by repair.
+        assert_eq!(back.journal_records(), 2);
         // Tail repair re-journaled the fragment as a proper record: a
         // second recovery sees a clean log with the same spend.
         drop(back);
-        let (again, report) = Exact::recover(1.0, 2, storage.reopen()).unwrap();
+        let (again, report) = reopen(1.0, 2, storage.reopen()).unwrap();
         assert!(!report.torn_tail, "repair left a torn tail");
+        assert_eq!(again.journal_records(), 2);
         assert_eq!(again.spent_exact(1), Dyadic::from_f64_ceil(0.25));
         assert_eq!(again.spent_exact(2), Dyadic::from_f64_ceil(0.5));
     }
@@ -2638,14 +2261,14 @@ mod tests {
     #[test]
     fn torn_tail_fragment_is_dropped_soundly() {
         let storage = MemStorage::new();
-        let reg = Exact::create(1.0, 2, storage.clone()).unwrap();
+        let reg = create(1.0, 2, storage.clone());
         reg.charge(1, 0.25).unwrap();
         let full = storage.contents().len();
         reg.charge(2, 0.5).unwrap();
         drop(reg);
         // Keep only 3 bytes of the second charge record: undecodable.
         storage.truncate(full + 3);
-        let (back, report) = Exact::recover(1.0, 2, storage.reopen()).unwrap();
+        let (back, report) = reopen(1.0, 2, storage.reopen()).unwrap();
         assert!(report.torn_tail);
         assert!(!report.torn_tail_charged);
         assert_eq!(back.spent_exact(1), Dyadic::from_f64_ceil(0.25));
@@ -2654,7 +2277,7 @@ mod tests {
         // own appends do not land after damage: charge, crash, recover.
         back.charge(2, 0.125).unwrap();
         drop(back);
-        let (again, report) = Exact::recover(1.0, 2, storage.reopen()).unwrap();
+        let (again, report) = reopen(1.0, 2, storage.reopen()).unwrap();
         assert!(!report.torn_tail);
         assert_eq!(again.spent_exact(1), Dyadic::from_f64_ceil(0.25));
         assert_eq!(again.spent_exact(2), Dyadic::from_f64_ceil(0.125));
@@ -2663,7 +2286,7 @@ mod tests {
     #[test]
     fn tail_checksum_mismatch_is_bit_rot_and_refused() {
         let storage = MemStorage::new();
-        let reg = Exact::create(1.0, 2, storage.clone()).unwrap();
+        let reg = create(1.0, 2, storage.clone());
         reg.charge(1, 0.25).unwrap();
         reg.charge(2, 0.5).unwrap();
         drop(reg);
@@ -2672,14 +2295,14 @@ mod tests {
         // refusing beats charging whatever the rotted bytes decode to.
         let len = storage.contents().len();
         storage.corrupt_byte(len - 6);
-        let err = Exact::recover(1.0, 2, storage.reopen()).unwrap_err();
+        let err = reopen(1.0, 2, storage.reopen()).unwrap_err();
         assert!(matches!(err, RecoveryError::Corrupt { .. }), "{err}");
     }
 
     #[test]
     fn torn_tail_with_inconsistent_crc_prefix_is_refused() {
         let storage = MemStorage::new();
-        let reg = Exact::create(1.0, 2, storage.clone()).unwrap();
+        let reg = create(1.0, 2, storage.clone());
         reg.charge(1, 0.25).unwrap();
         reg.charge(2, 0.5).unwrap();
         drop(reg);
@@ -2690,7 +2313,7 @@ mod tests {
         let bytes = storage.contents();
         storage.truncate(bytes.len() - 2);
         storage.corrupt_byte(bytes.len() - 3);
-        let err = Exact::recover(1.0, 2, storage.reopen()).unwrap_err();
+        let err = reopen(1.0, 2, storage.reopen()).unwrap_err();
         assert!(matches!(err, RecoveryError::Corrupt { .. }), "{err}");
     }
 
@@ -2699,7 +2322,7 @@ mod tests {
         let storage = MemStorage::new();
         // Appends: 0 = header, 1 = first charge, torn after 3 bytes.
         let faulty = storage.clone().with_plan(FaultPlan::torn_append(1, 3));
-        let reg = Exact::create(1.0, 2, faulty).unwrap();
+        let reg = create(1.0, 2, faulty);
         let err = reg.charge(1, 0.25).unwrap_err();
         assert!(matches!(err, DurableChargeError::Journal(_)));
         // The tear latches the journal: the next charge is refused
@@ -2724,13 +2347,13 @@ mod tests {
         drop(reg);
         // Nothing was written past the fragment, so the log is exactly
         // header + a 3-byte tail fragment: recoverable, fragment dropped.
-        let (back, report) = Exact::recover(1.0, 2, storage.reopen()).unwrap();
+        let (back, report) = reopen(1.0, 2, storage.reopen()).unwrap();
         assert!(report.torn_tail);
         assert!(!report.torn_tail_charged);
         assert!(back.journal_error().is_none(), "restart clears the latch");
         back.charge(1, 0.25).unwrap();
         drop(back);
-        let (again, report) = Exact::recover(1.0, 2, storage.reopen()).unwrap();
+        let (again, report) = reopen(1.0, 2, storage.reopen()).unwrap();
         assert!(!report.torn_tail);
         assert_eq!(again.spent_exact(1), Dyadic::from_f64_ceil(0.25));
     }
@@ -2738,7 +2361,7 @@ mod tests {
     #[test]
     fn complete_oversized_frame_is_refused_truncated_one_is_a_tail() {
         let storage = MemStorage::new();
-        let reg = Exact::create(1.0, 2, storage.clone()).unwrap();
+        let reg = create(1.0, 2, storage.clone());
         reg.charge(1, 0.25).unwrap();
         drop(reg);
         // A complete frame claiming more than MAX_PAYLOAD: the writer
@@ -2770,7 +2393,7 @@ mod tests {
         // (1 + 4 + n * 20 bytes). The snapshot must be skipped, not
         // written: an oversized frame would refuse recovery outright.
         let storage = MemStorage::new();
-        let reg: DurableRegistry<PureDp, f64, _> = DurableRegistry::create(1.0, 8, storage.clone())
+        let reg = Float::create_with_budget(1.0, 8, storage.clone())
             .unwrap()
             .with_checkpoint_every(u64::MAX);
         let n = (MAX_PAYLOAD as u64 / 20) + 2;
@@ -2785,7 +2408,7 @@ mod tests {
         reg.charge(0, 0.25).unwrap();
         drop(reg);
         let (back, report) =
-            DurableRegistry::<PureDp, f64, _>::recover(1.0, 8, storage.reopen()).unwrap();
+            Float::open_with_options(1.0, 8, storage.reopen(), DurableOptions::default()).unwrap();
         assert!(!report.torn_tail, "skipped checkpoint damaged the log");
         assert_eq!(report.records as u64, 1 + n + 1);
         assert_eq!(back.spent_exact(0), 0.75);
@@ -2795,7 +2418,7 @@ mod tests {
     #[test]
     fn mid_log_corruption_is_refused() {
         let storage = MemStorage::new();
-        let reg = Exact::create(1.0, 2, storage.clone()).unwrap();
+        let reg = create(1.0, 2, storage.clone());
         reg.charge(1, 0.25).unwrap();
         let first_end = storage.contents().len();
         reg.charge(2, 0.5).unwrap();
@@ -2803,18 +2426,17 @@ mod tests {
         // Flip a payload byte of the FIRST charge: its crc now fails while
         // a valid record follows — not a crash artefact.
         storage.corrupt_byte(first_end - 6);
-        let err = Exact::recover(1.0, 2, storage.reopen()).unwrap_err();
+        let err = reopen(1.0, 2, storage.reopen()).unwrap_err();
         assert!(matches!(err, RecoveryError::Corrupt { .. }), "{err}");
     }
 
     #[test]
     fn carrier_mismatch_is_refused() {
         let storage = MemStorage::new();
-        let reg: DurableRegistry<PureDp, f64, _> =
-            DurableRegistry::create(1.0, 2, storage.clone()).unwrap();
+        let reg = Float::create_with_budget(1.0, 2, storage.clone()).unwrap();
         reg.charge(1, 0.25).unwrap();
         drop(reg);
-        let err = Exact::recover(1.0, 2, storage.reopen()).unwrap_err();
+        let err = reopen(1.0, 2, storage.reopen()).unwrap_err();
         assert_eq!(
             err,
             RecoveryError::CarrierMismatch {
@@ -2827,15 +2449,13 @@ mod tests {
     #[test]
     fn checkpoints_are_authoritative_and_replay_equal() {
         let storage = MemStorage::new();
-        let reg = Exact::create(10.0, 4, storage.clone())
-            .unwrap()
-            .with_checkpoint_every(3);
+        let reg = create(10.0, 4, storage.clone()).with_checkpoint_every(3);
         for i in 0..10u64 {
             reg.charge(i % 4, 0.25).unwrap();
         }
         let live: Vec<_> = (0..4u64).map(|p| reg.spent_exact(p)).collect();
         drop(reg);
-        let (back, report) = Exact::recover(10.0, 4, storage.reopen()).unwrap();
+        let (back, report) = reopen(10.0, 4, storage.reopen()).unwrap();
         for p in 0..4u64 {
             assert_eq!(back.spent_exact(p), live[p as usize], "principal {p}");
         }
@@ -2846,32 +2466,61 @@ mod tests {
     #[test]
     fn open_creates_then_recovers() {
         let storage = MemStorage::new();
-        let (reg, report) = Exact::open(1.0, 2, storage.clone()).unwrap();
+        let (reg, report) = reopen(1.0, 2, storage.clone()).unwrap();
         assert_eq!(report, RecoveryReport::default());
         reg.charge(5, 0.5).unwrap();
         drop(reg);
-        let (back, report) = Exact::open(1.0, 2, storage.reopen()).unwrap();
+        let (back, report) = reopen(1.0, 2, storage.reopen()).unwrap();
         assert_eq!(report.records, 2);
         assert_eq!(back.spent_exact(5), Dyadic::from_f64_ceil(0.5));
         // A third generation keeps appending to the same log.
         back.charge(5, 0.25).unwrap();
         drop(back);
-        let (last, _) = Exact::open(1.0, 2, storage.reopen()).unwrap();
+        let (last, _) = reopen(1.0, 2, storage.reopen()).unwrap();
         assert_eq!(last.spent_exact(5), Dyadic::from_f64_ceil(0.75));
+    }
+
+    #[test]
+    fn journal_records_counts_only_charge_records_across_restarts() {
+        // A compacted log holds a header and a snapshot prefix but no
+        // charge record: a restart must read 0, not the frame count.
+        let storage = MemStorage::new();
+        let reg = create(10.0, 4, storage.clone());
+        for p in 0..3u64 {
+            reg.charge(p, 0.5).unwrap();
+        }
+        reg.compact_now().unwrap();
+        assert_eq!(reg.journal_records(), 0);
+        drop(reg);
+        let (back, _) = reopen(10.0, 4, storage.reopen()).unwrap();
+        assert_eq!(back.journal_records(), 0, "compacted log reopened");
+        // k charges then a checkpoint: k charge records, running and
+        // after a restart alike.
+        let k = 5;
+        for i in 0..k {
+            back.charge(i % 3, 0.125).unwrap();
+        }
+        back.checkpoint_now().unwrap();
+        assert_eq!(back.journal_records(), k);
+        drop(back);
+        let (again, report) = reopen(10.0, 4, storage.reopen()).unwrap();
+        assert_eq!(report.charges as u64, k);
+        assert_eq!(again.journal_records(), k, "checkpointed log reopened");
     }
 
     #[test]
     fn create_refuses_nonempty_storage() {
         let storage = MemStorage::new();
-        let _ = Exact::create(1.0, 2, storage.clone()).unwrap();
-        let err = Exact::create(1.0, 2, storage.reopen()).unwrap_err();
+        let _ = create(1.0, 2, storage.clone());
+        let err = Exact::create_with_budget(Dyadic::budget_from_f64(1.0), 2, storage.reopen())
+            .unwrap_err();
         assert_eq!(err.op, "create");
     }
 
     #[test]
     fn refusals_and_journal_failures_render_distinctly() {
         let storage = MemStorage::new();
-        let reg = Exact::create(1.0, 2, storage).unwrap();
+        let reg = create(1.0, 2, storage);
         reg.charge(3, 1.0).unwrap();
         let err = reg.charge(3, 0.5).unwrap_err();
         assert!(err.to_string().contains("principal: 3"), "{err}");
@@ -2901,32 +2550,34 @@ mod tests {
     // -----------------------------------------------------------------
 
     #[test]
-    fn single_threaded_group_commit_writes_the_serial_byte_stream() {
-        // With one charger every batch holds one record, so the grouped
-        // log must be byte-identical to the serial one — same frames,
-        // same checkpoint cadence — and recovery cannot tell them apart.
-        let serial_storage = MemStorage::new();
-        let serial = Exact::create(10.0, 4, serial_storage.clone())
-            .unwrap()
-            .with_checkpoint_every(3);
-        let group_storage = MemStorage::new();
-        let grouped = Exact::create(10.0, 4, group_storage.clone())
-            .unwrap()
-            .with_checkpoint_every(3)
-            .with_group_commit(true);
+    fn one_charger_writes_the_wire_byte_stream() {
+        // With one charger every batch holds one record, so the log is
+        // the wire encoders' output in charge order: the header, one
+        // CHARGE frame per charge, and a CHECKPOINT after every third
+        // charge carrying the snapshot a plain in-memory registry
+        // replaying the same charges reaches. Pins the layout byte for
+        // byte.
+        let storage = MemStorage::new();
+        let reg = create(10.0, 4, storage.clone()).with_checkpoint_every(3);
+        let plain: BudgetRegistry<PureDp, Dyadic> =
+            BudgetRegistry::with_budget(Dyadic::budget_from_f64(10.0), 4);
+        let gamma = Dyadic::charge_from_f64(0.25);
+        let mut expected = frame(&header_payload::<Dyadic>(0));
         for i in 0..10u64 {
-            serial.charge(i % 4, 0.25).unwrap();
-            grouped.charge(i % 4, 0.25).unwrap();
+            reg.charge(i % 4, 0.25).unwrap();
+            plain.charge_exact(i % 4, gamma.clone()).unwrap();
+            expected.extend_from_slice(&frame(&charge_payload(i % 4, &gamma)));
+            if (i + 1) % 3 == 0 {
+                expected.extend_from_slice(&frame(&checkpoint_payload(&plain.snapshot())));
+            }
         }
-        assert_eq!(serial_storage.contents(), group_storage.contents());
+        assert_eq!(storage.contents(), expected);
     }
 
     #[test]
     fn concurrent_group_charges_recover_exactly() {
         let storage = MemStorage::new();
-        let reg = Exact::create(8.0, 4, storage.clone())
-            .unwrap()
-            .with_group_commit(true);
+        let reg = create(8.0, 4, storage.clone());
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let reg = &reg;
@@ -2942,7 +2593,7 @@ mod tests {
             assert_eq!(reg.spent_exact(t), expected, "principal {t}");
         }
         drop(reg);
-        let (back, _) = Exact::recover(8.0, 4, storage.reopen()).unwrap();
+        let (back, _) = reopen(8.0, 4, storage.reopen()).unwrap();
         for t in 0..8u64 {
             assert_eq!(back.spent_exact(t), expected, "recovered principal {t}");
         }
@@ -2955,9 +2606,7 @@ mod tests {
         // keep the final spend at exactly the budget, never past it —
         // and recovery must agree.
         let storage = MemStorage::new();
-        let reg = Exact::create(1.0, 4, storage.clone())
-            .unwrap()
-            .with_group_commit(true);
+        let reg = create(1.0, 4, storage.clone());
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let reg = &reg;
@@ -2969,7 +2618,7 @@ mod tests {
             }
         });
         assert_eq!(reg.spent_exact(3), Dyadic::from(1u64));
-        let (back, _) = Exact::recover(1.0, 4, storage.reopen()).unwrap();
+        let (back, _) = reopen(1.0, 4, storage.reopen()).unwrap();
         assert_eq!(back.spent_exact(3), Dyadic::from(1u64));
     }
 
@@ -2980,9 +2629,7 @@ mod tests {
         // batch — whatever subset of the 8 charges it gathered — fails,
         // and everything behind it is refused off the latch.
         let faulty = storage.clone().with_plan(FaultPlan::fail_sync_after(1));
-        let reg = Exact::create(4.0, 4, faulty)
-            .unwrap()
-            .with_group_commit(true);
+        let reg = create(4.0, 4, faulty);
         let refusals = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8u64)
                 .map(|t| {
@@ -3015,7 +2662,7 @@ mod tests {
         drop(reg);
         // Restart: the appended-but-unsynced bytes may replay — pure
         // over-report, which is the allowed direction.
-        let (back, _) = Exact::recover(4.0, 4, storage.reopen()).unwrap();
+        let (back, _) = reopen(4.0, 4, storage.reopen()).unwrap();
         assert!(back.journal_error().is_none());
     }
 
@@ -3074,9 +2721,7 @@ mod tests {
     #[test]
     fn compaction_bounds_the_log_and_preserves_spend_exactly() {
         let storage = MemStorage::new();
-        let reg = Exact::create(100.0, 4, storage.clone())
-            .unwrap()
-            .with_checkpoint_every(u64::MAX);
+        let reg = create(100.0, 4, storage.clone()).with_checkpoint_every(u64::MAX);
         for _ in 0..50 {
             for p in 0..5u64 {
                 reg.charge(p, 0.125).unwrap();
@@ -3097,7 +2742,7 @@ mod tests {
         // that append after the compacted prefix.
         reg.charge(2, 0.25).unwrap();
         drop(reg);
-        let (back, report) = Exact::recover(100.0, 4, storage.reopen()).unwrap();
+        let (back, report) = reopen(100.0, 4, storage.reopen()).unwrap();
         for p in 0..5u64 {
             let expect = if p == 2 {
                 &live[p as usize] + &Dyadic::from_f64_ceil(0.25)
@@ -3119,7 +2764,7 @@ mod tests {
         // them: the compacted log must carry several SNAPSHOT chunks and
         // still replay exactly.
         let storage = MemStorage::new();
-        let reg: DurableRegistry<PureDp, f64, _> = DurableRegistry::create(1.0, 8, storage.clone())
+        let reg = Float::create_with_budget(1.0, 8, storage.clone())
             .unwrap()
             .with_checkpoint_every(u64::MAX);
         let n = (MAX_PAYLOAD as u64 / 20) + 2;
@@ -3134,7 +2779,7 @@ mod tests {
         assert_eq!(recovery.spent.len(), n as usize);
         assert!(recovery.spent.iter().all(|(_, s)| *s == 0.5));
         let (back, _) =
-            DurableRegistry::<PureDp, f64, _>::recover(1.0, 8, storage.reopen()).unwrap();
+            Float::open_with_options(1.0, 8, storage.reopen(), DurableOptions::default()).unwrap();
         assert_eq!(back.spent_exact(0), 0.5);
         assert_eq!(back.spent_exact(n - 1), 0.5);
     }
@@ -3142,7 +2787,7 @@ mod tests {
     #[test]
     fn snapshot_prefix_damage_is_refused_not_dropped() {
         let storage = MemStorage::new();
-        let reg = Exact::create(10.0, 4, storage.clone()).unwrap();
+        let reg = create(10.0, 4, storage.clone());
         for p in 0..6u64 {
             reg.charge(p, 0.5).unwrap();
         }
@@ -3152,14 +2797,14 @@ mod tests {
         // Truncating into the snapshot record is NOT a droppable torn
         // tail — the snapshot stands in for vanished history.
         storage.truncate(compacted.len() - 4);
-        let err = Exact::recover(10.0, 4, storage.reopen()).unwrap_err();
+        let err = reopen(10.0, 4, storage.reopen()).unwrap_err();
         assert!(matches!(err, RecoveryError::Corrupt { .. }), "{err}");
     }
 
     #[test]
     fn snapshot_record_appended_outside_prefix_is_refused() {
         let storage = MemStorage::new();
-        let reg = Exact::create(10.0, 4, storage.clone()).unwrap();
+        let reg = create(10.0, 4, storage.clone());
         reg.charge(1, 0.5).unwrap();
         drop(reg);
         // Forge an appended SNAPSHOT record on a non-compacted log: the
@@ -3184,7 +2829,7 @@ mod tests {
             let faulty = storage
                 .clone()
                 .with_plan(FaultPlan::fail_replace(0, outcome));
-            let reg = Exact::create(10.0, 4, faulty).unwrap();
+            let reg = create(10.0, 4, faulty);
             for p in 0..4u64 {
                 reg.charge(p, 0.5).unwrap();
             }
@@ -3198,7 +2843,7 @@ mod tests {
             ));
             drop(reg);
             // Both possible survivors replay to the same ledgers.
-            let (back, report) = Exact::recover(10.0, 4, storage.reopen()).unwrap();
+            let (back, report) = reopen(10.0, 4, storage.reopen()).unwrap();
             assert!(!report.torn_tail, "{outcome:?}");
             for p in 0..4u64 {
                 assert_eq!(
@@ -3213,14 +2858,14 @@ mod tests {
     #[test]
     fn compaction_policy_triggers_automatically() {
         let storage = MemStorage::new();
-        let reg = Exact::create(100.0, 4, storage.clone())
-            .unwrap()
-            .with_options(
-                DurableOptions::default()
-                    .group_commit(false)
-                    .checkpoint_every(u64::MAX)
-                    .compaction(CompactionPolicy::max_records(10)),
-            );
+        let reg = create_with(
+            100.0,
+            4,
+            storage.clone(),
+            DurableOptions::default()
+                .checkpoint_every(u64::MAX)
+                .compaction(CompactionPolicy::max_records(10)),
+        );
         for i in 0..10u64 {
             reg.charge(i % 3, 0.125).unwrap();
         }
@@ -3231,7 +2876,7 @@ mod tests {
         assert!(reg.journal_error().is_none());
         let recovery = replay::<PureDp, Dyadic>(&storage.contents()).unwrap();
         assert_eq!(recovery.report.records, 2, "header + one snapshot chunk");
-        let (back, _) = Exact::recover(100.0, 4, storage.reopen()).unwrap();
+        let (back, _) = reopen(100.0, 4, storage.reopen()).unwrap();
         for p in 0..3u64 {
             assert_eq!(back.spent_exact(p), reg.spent_exact(p), "principal {p}");
         }
@@ -3311,15 +2956,15 @@ mod tests {
         let storage = MemStorage::new();
         let gated = GatedStorage::new(storage.clone());
         let gate = Arc::clone(&gated.gate);
-        let reg: DurableRegistry<PureDp, Dyadic, GatedStorage> =
-            DurableRegistry::create(100.0, 4, gated)
-                .unwrap()
-                .with_options(
-                    DurableOptions::default()
-                        .group_commit(false)
-                        .checkpoint_every(u64::MAX)
-                        .compaction(CompactionPolicy::max_records(4)),
-                );
+        let (reg, _) = DurableRegistry::<PureDp, Dyadic, GatedStorage>::open_with_options(
+            Dyadic::budget_from_f64(100.0),
+            4,
+            gated,
+            DurableOptions::default()
+                .checkpoint_every(u64::MAX)
+                .compaction(CompactionPolicy::max_records(4)),
+        )
+        .unwrap();
         // All four charges — including the one that crosses the record
         // threshold — acknowledge while the gate is still closed.
         for i in 0..4u64 {
@@ -3348,7 +2993,7 @@ mod tests {
         reg.charge(0, 0.125).unwrap();
         assert_eq!(reg.spent_exact(0), Dyadic::from_f64_ceil(0.125).mul_u64(2));
         drop(reg);
-        let (back, _) = Exact::recover(100.0, 4, storage.reopen()).unwrap();
+        let (back, _) = reopen(100.0, 4, storage.reopen()).unwrap();
         assert_eq!(back.spent_exact(0), Dyadic::from_f64_ceil(0.125).mul_u64(2));
         for p in 1..4u64 {
             assert_eq!(
@@ -3364,13 +3009,14 @@ mod tests {
         // Chargers and an auto-compacting policy race: every acknowledged
         // charge must survive every compaction, exactly.
         let storage = MemStorage::new();
-        let reg = Exact::create(100.0, 4, storage.clone())
-            .unwrap()
-            .with_options(
-                DurableOptions::default()
-                    .checkpoint_every(u64::MAX)
-                    .compaction(CompactionPolicy::max_records(16)),
-            );
+        let reg = create_with(
+            100.0,
+            4,
+            storage.clone(),
+            DurableOptions::default()
+                .checkpoint_every(u64::MAX)
+                .compaction(CompactionPolicy::max_records(16)),
+        );
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let reg = &reg;
@@ -3385,7 +3031,7 @@ mod tests {
         let live: Vec<_> = (0..4u64).map(|p| reg.spent_exact(p)).collect();
         let expected = Dyadic::from_f64_ceil(0.0625).mul_u64(50);
         drop(reg);
-        let (back, _) = Exact::recover(100.0, 4, storage.reopen()).unwrap();
+        let (back, _) = reopen(100.0, 4, storage.reopen()).unwrap();
         for p in 0..4u64 {
             assert_eq!(back.spent_exact(p), live[p as usize], "principal {p}");
             assert_eq!(back.spent_exact(p), expected, "principal {p} count");
@@ -3402,12 +3048,18 @@ mod tests {
         {
             let storage = FileStorage::open(&path).unwrap();
             let reg: DurableRegistry<PureDp, Dyadic, _> =
-                DurableRegistry::create(1.0, 2, storage).unwrap();
+                DurableRegistry::create_with_budget(Dyadic::budget_from_f64(1.0), 2, storage)
+                    .unwrap();
             reg.charge(11, 0.375).unwrap();
         }
         let storage = FileStorage::open(&path).unwrap();
-        let (back, report) =
-            DurableRegistry::<PureDp, Dyadic, _>::recover(1.0, 2, storage).unwrap();
+        let (back, report) = DurableRegistry::<PureDp, Dyadic, _>::open_with_options(
+            Dyadic::budget_from_f64(1.0),
+            2,
+            storage,
+            DurableOptions::default(),
+        )
+        .unwrap();
         assert_eq!(back.spent_exact(11), Dyadic::from_f64_ceil(0.375));
         assert!(!report.torn_tail);
         let _ = std::fs::remove_file(&path);

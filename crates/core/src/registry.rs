@@ -213,9 +213,10 @@ impl<D: AbstractDp, B: Budget> BudgetRegistry<D, B> {
     /// without applying — the write-ahead half of a durable charge (the
     /// journal appends between check and
     /// [`apply_unchecked`](Self::apply_unchecked); the caller is
-    /// responsible for serializing the two, which
-    /// [`DurableRegistry`](crate::DurableRegistry) does under its
-    /// journal lock).
+    /// responsible for keeping concurrent checks from jointly
+    /// overshooting, which [`DurableRegistry`](crate::DurableRegistry)
+    /// does by counting reservations with
+    /// [`check_exact_reserved`](Self::check_exact_reserved)).
     ///
     /// # Errors
     ///

@@ -1488,15 +1488,15 @@ impl<D: AbstractDp, B: Budget> AccountantPlan<D, B> for RegistryPlan<B> {
 
 /// How many lock shards a [`SessionBuilder::durable`] registry spreads
 /// its principals over. Purely a contention knob — durable charges
-/// serialize on the journal lock anyway, so the shard count only affects
-/// journal-free reads; callers who care use
-/// [`DurableRegistry::open`] directly.
+/// commit through the journal's group-commit queue anyway, so the shard
+/// count only affects journal-free reads; callers who care use
+/// [`DurableRegistry::open_with_options`] directly.
 const DURABLE_LOCK_SHARDS: usize = 8;
 
 /// Plan holding an already-opened [`DurableRegistry`]. Opening — and
 /// therefore crash recovery — happens at the [`SessionBuilder::durable`]
-/// / [`SessionBuilder::durable_with`] step, where the I/O error has a
-/// `Result` to surface through;
+/// / [`SessionBuilder::durable_with_options`] step, where the I/O error
+/// has a `Result` to surface through;
 /// [`build_per_principal`](SessionBuilder::build_per_principal) itself
 /// stays infallible.
 pub struct DurablePlan<D: AbstractDp, B: Budget, S: JournalStorage> {
@@ -1696,8 +1696,8 @@ impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, RegistryPlan<B>, X> {
     /// applying it ([`SessionError::Journal`], degrade-to-reject).
     ///
     /// The recovery report is discarded; callers that need the torn-tail
-    /// details use [`DurableRegistry::open`] directly and keep the
-    /// registry.
+    /// details use [`DurableRegistry::open_with_options`] directly and
+    /// keep the registry.
     ///
     /// # Errors
     ///
@@ -1708,56 +1708,16 @@ impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, RegistryPlan<B>, X> {
         path: impl AsRef<std::path::Path>,
     ) -> Result<SessionBuilder<D, B, DurablePlan<D, B, FileStorage>, X>, RecoveryError> {
         let storage = FileStorage::open(path).map_err(RecoveryError::Io)?;
-        self.durable_with(storage)
+        self.durable_with_options(storage, DurableOptions::default())
     }
 
     /// [`durable`](Self::durable) over any [`JournalStorage`] backend —
     /// the fault-injection seam ([`MemStorage`](crate::MemStorage) with a
-    /// [`FaultPlan`](crate::FaultPlan)).
-    ///
-    /// # Errors
-    ///
-    /// As [`durable`](Self::durable).
-    pub fn durable_with<S: JournalStorage>(
-        self,
-        storage: S,
-    ) -> Result<SessionBuilder<D, B, DurablePlan<D, B, S>, X>, RecoveryError> {
-        let (registry, _report) = DurableRegistry::open_with_budget(
-            self.accountant.per_principal,
-            DURABLE_LOCK_SHARDS,
-            storage,
-        )?;
-        Ok(SessionBuilder {
-            accountant: DurablePlan { registry },
-            executor: self.executor,
-            entropy: self.entropy,
-            admission: self.admission,
-            ingress: self.ingress,
-            _notion: PhantomData,
-            _carrier: PhantomData,
-        })
-    }
-
-    /// [`durable`](Self::durable) with explicit [`DurableOptions`]: group
-    /// commit on/off, checkpoint cadence, and an automatic
-    /// [`CompactionPolicy`](crate::CompactionPolicy). The serving-tier
-    /// configuration is `DurableOptions::default()` — group commit on,
-    /// compaction off until a policy is supplied.
-    ///
-    /// # Errors
-    ///
-    /// As [`durable`](Self::durable).
-    pub fn durable_with_policy(
-        self,
-        path: impl AsRef<std::path::Path>,
-        options: DurableOptions,
-    ) -> Result<SessionBuilder<D, B, DurablePlan<D, B, FileStorage>, X>, RecoveryError> {
-        let storage = FileStorage::open(path).map_err(RecoveryError::Io)?;
-        self.durable_with_options(storage, options)
-    }
-
-    /// [`durable_with_policy`](Self::durable_with_policy) over any
-    /// [`JournalStorage`] backend.
+    /// [`FaultPlan`](crate::FaultPlan)) — with explicit
+    /// [`DurableOptions`]: checkpoint cadence and an automatic
+    /// [`CompactionPolicy`](crate::CompactionPolicy).
+    /// `DurableOptions::default()` is what [`durable`](Self::durable)
+    /// uses: compaction off until a policy is supplied.
     ///
     /// # Errors
     ///
@@ -2557,7 +2517,7 @@ mod tests {
         let mut s = Session::<PureDp>::builder()
             .exact()
             .registry(1.0)
-            .durable_with(storage)
+            .durable_with_options(storage, DurableOptions::default())
             .unwrap()
             .inline()
             .seeded(13)
@@ -2589,7 +2549,7 @@ mod tests {
         let mut s2 = Session::<PureDp>::builder()
             .exact()
             .registry(1.0)
-            .durable_with(handle.reopen())
+            .durable_with_options(handle.reopen(), DurableOptions::default())
             .unwrap()
             .inline()
             .seeded(13)
@@ -2615,7 +2575,7 @@ mod tests {
             .registry(2.0)
             .durable_with_options(
                 storage,
-                crate::journal::DurableOptions::default()
+                DurableOptions::default()
                     .checkpoint_every(u64::MAX)
                     .compaction(CompactionPolicy::max_records(4)),
             )
@@ -2641,12 +2601,12 @@ mod tests {
         assert_eq!(recovery.report.records, 2, "header + one snapshot chunk");
         drop(s);
 
-        // A plain (serial, no-policy) restart over the compacted log
+        // A plain (no-policy) restart over the compacted log
         // agrees with what was acknowledged.
         let s2 = Session::<PureDp>::builder()
             .exact()
             .registry(2.0)
-            .durable_with(handle.reopen())
+            .durable_with_options(handle.reopen(), DurableOptions::default())
             .unwrap()
             .inline()
             .seeded(13)

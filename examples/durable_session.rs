@@ -3,8 +3,9 @@
 //!
 //! A `Session` built with `.registry(ε).durable(path)` gives every
 //! principal (user id) their own allowance and write-ahead journals
-//! every charge — append + fsync **before** the answer is released — so
-//! a process kill can lose at most the conservative direction: a charge
+//! every charge — append + fsync **before** the answer is released, with
+//! concurrent charges sharing one fsync (group commit) — so a process
+//! kill can lose at most the conservative direction: a charge
 //! whose fsync verdict never arrived replays as *spent*, never as
 //! forgotten. This example runs two "process lifetimes" over one journal
 //! file and verifies, on the exact dyadic carrier, that the second life
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut session = Session::<PureDp>::builder()
             .exact() // every charge a Dyadic, comparisons strict
             .registry(2.0) // per-principal allowance ε = 2
-            .durable(&journal)? // write-ahead journal (created empty here)
+            .durable(&journal)? // group-committed write-ahead journal, created here
             .inline()
             .seeded(7)
             .build_per_principal();

@@ -15,7 +15,10 @@
 //! [`MemStorage`] fault plans standing in for the kill: append failures
 //! (the disk vanished), torn writes (the process died mid-`write(2)`),
 //! and fsync failures (the write may or may not have become durable).
-//! Multi-threaded workloads hammer one [`DurableRegistry`] until the
+//! Every charge is group-committed, so the faults land on batch
+//! boundaries: a batch leader's append, its single fsync, or the
+//! followers queued behind it. Multi-threaded workloads hammer one
+//! [`DurableRegistry`] until the
 //! fault fires; the "process" is then killed by dropping the registry
 //! and recovery runs over a fresh handle on the surviving bytes, exactly
 //! like a restart over the same file. Recovery idempotence rides along:
@@ -29,8 +32,8 @@
 
 use proptest::prelude::*;
 use sampcert_core::{
-    replay, Budget, BudgetRegistry, DurableChargeError, DurableRegistry, Dyadic, FaultPlan,
-    MemStorage, PureDp,
+    replay, Budget, BudgetRegistry, DurableChargeError, DurableOptions, DurableRegistry, Dyadic,
+    FaultPlan, MemStorage, PureDp, RecoveryError, RecoveryReport,
 };
 use std::collections::BTreeMap;
 
@@ -64,38 +67,40 @@ struct Outcome {
     journal_faults: usize,
 }
 
+/// The per-principal allowance in the carrier.
+fn allowance() -> Dyadic {
+    <Dyadic as Budget>::budget_from_f64(PER_PRINCIPAL)
+}
+
+/// A restart: recovery over `storage` with the default options.
+fn recover(
+    storage: MemStorage,
+) -> Result<(DurableRegistry<PureDp, Dyadic, MemStorage>, RecoveryReport), RecoveryError> {
+    DurableRegistry::open_with_options(allowance(), SHARDS, storage, DurableOptions::default())
+}
+
 /// Runs `threads` concurrent chargers against one durable registry over
 /// faulty storage until every thread has either exhausted its schedule
 /// or hit the injected fault, then kills the registry.
 fn kill_mid_charge(plan: FaultPlan, threads: usize, ops_per_thread: usize, seed: u64) -> Outcome {
-    kill_mid_charge_mode(plan, threads, ops_per_thread, seed, false)
-}
-
-/// [`kill_mid_charge`] with the commit mode explicit: `group` batches
-/// concurrent charges behind one leader fsync, so the same fault plans
-/// land on batch boundaries instead of per-charge ones.
-fn kill_mid_charge_mode(
-    plan: FaultPlan,
-    threads: usize,
-    ops_per_thread: usize,
-    seed: u64,
-    group: bool,
-) -> Outcome {
     let storage = MemStorage::new().with_plan(plan);
     let handle = storage.clone();
-    let registry =
-        match DurableRegistry::<PureDp, Dyadic, _>::create(PER_PRINCIPAL, SHARDS, storage) {
-            Ok(r) => r.with_checkpoint_every(7).with_group_commit(group),
-            Err(_) => {
-                // The fault fired on the header write: the process died at
-                // boot having acknowledged nothing.
-                return Outcome {
-                    handle,
-                    acknowledged: BTreeMap::new(),
-                    journal_faults: 1,
-                };
-            }
-        };
+    let registry = match DurableRegistry::<PureDp, Dyadic, _>::create_with_budget(
+        allowance(),
+        SHARDS,
+        storage,
+    ) {
+        Ok(r) => r.with_checkpoint_every(7),
+        Err(_) => {
+            // The fault fired on the header write: the process died at
+            // boot having acknowledged nothing.
+            return Outcome {
+                handle,
+                acknowledged: BTreeMap::new(),
+                journal_faults: 1,
+            };
+        }
+    };
 
     let per_thread: Vec<(Vec<(u64, Dyadic)>, usize)> = std::thread::scope(|scope| {
         let registry = &registry;
@@ -194,22 +199,12 @@ fn check_no_under_report(outcome: &Outcome, plan_name: &str) {
 
     // And a recovered registry re-reports the same spend: recovery makes
     // no durable writes of its own.
-    let (reg, _) = DurableRegistry::<PureDp, Dyadic, _>::recover(
-        PER_PRINCIPAL,
-        SHARDS,
-        outcome.handle.reopen(),
-    )
-    .expect("recover over replayable bytes");
+    let (reg, _) = recover(outcome.handle.reopen()).expect("recover over replayable bytes");
     for (principal, spent) in &first.spent {
         assert_eq!(reg.spent_exact(*principal), *spent, "[{plan_name}]");
     }
     drop(reg);
-    let (reg2, _) = DurableRegistry::<PureDp, Dyadic, _>::recover(
-        PER_PRINCIPAL,
-        SHARDS,
-        outcome.handle.reopen(),
-    )
-    .expect("recover twice");
+    let (reg2, _) = recover(outcome.handle.reopen()).expect("recover twice");
     for (principal, spent) in &first.spent {
         assert_eq!(reg2.spent_exact(*principal), *spent, "[{plan_name}]");
     }
@@ -246,6 +241,9 @@ fn fault_free_runs_recover_exactly() {
 fn append_failure_at_every_early_point_never_under_reports() {
     // Sweep the kill across the first 40 appends (header, charges and
     // checkpoints alike — cadence 7 puts several checkpoints in range).
+    // A leader's batch append may fail partway through the batch: every
+    // record already written in it is unsynced, every charge in the
+    // batch must be refused, and the latch stops the rest.
     for at in 0..40 {
         let outcome = kill_mid_charge(FaultPlan::fail_append_after(at), 4, 60, at);
         assert!(
@@ -261,7 +259,8 @@ fn torn_write_at_every_offset_never_under_reports() {
     // Tear the 12th append at every possible prefix length: 0 bytes (a
     // pure kill) through the whole frame minus one checksum byte. A
     // charge frame is 8 + payload bytes; 64 covers charges and the
-    // header, and clamps harmlessly beyond.
+    // header, and clamps harmlessly beyond. The tear lands inside a
+    // batch leader's write.
     for keep in 0..64 {
         let outcome = kill_mid_charge(torn_kill(12, keep), 4, 60, keep as u64);
         check_no_under_report(&outcome, &format!("torn_append(12, {keep})"));
@@ -288,66 +287,14 @@ fn bare_torn_write_latches_and_stays_recoverable() {
 
 #[test]
 fn fsync_failure_only_over_reports() {
-    // Syncs keep failing from point `at` on: every later charge is
-    // refused (degrade-to-reject) but its record may survive in the log,
+    // Syncs keep failing from point `at` on: the failing batch fsync
+    // refuses every charge in the batch and everything enqueued behind
+    // it (degrade-to-reject), but their records may survive in the log,
     // so recovery may only drift upward from the acknowledged sums.
-    for at in [1, 3, 10, 25] {
+    for at in [1, 2, 3, 5, 10, 25] {
         let outcome = kill_mid_charge(FaultPlan::fail_sync_after(at), 4, 60, at);
         assert!(outcome.journal_faults > 0, "fault at sync {at} never fired");
         check_no_under_report(&outcome, &format!("fail_sync_after({at})"));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Group commit: the same kills land on batch boundaries
-// ---------------------------------------------------------------------------
-
-#[test]
-fn group_commit_fault_free_runs_recover_exactly() {
-    for seed in 0..4 {
-        let outcome = kill_mid_charge_mode(FaultPlan::none(), 4, 100, seed, true);
-        assert_eq!(outcome.journal_faults, 0);
-        let bytes = outcome.handle.contents();
-        let recovery = replay::<PureDp, Dyadic>(&bytes).expect("clean log");
-        let recovered: BTreeMap<u64, Dyadic> = recovery.spent.into_iter().collect();
-        assert_eq!(recovered, outcome.acknowledged, "seed {seed}");
-        check_no_under_report(&outcome, "group/none");
-    }
-}
-
-#[test]
-fn group_leader_append_failure_at_every_early_point_never_under_reports() {
-    // The leader's batch append fails partway through the batch: every
-    // record already written in this batch is unsynced, every charge in
-    // the batch must be refused, and the latch stops the rest.
-    for at in 0..40 {
-        let outcome = kill_mid_charge_mode(FaultPlan::fail_append_after(at), 4, 60, at, true);
-        assert!(
-            outcome.journal_faults > 0,
-            "fault at append {at} never fired"
-        );
-        check_no_under_report(&outcome, &format!("group/fail_append_after({at})"));
-    }
-}
-
-#[test]
-fn group_batch_fsync_failure_mid_queue_never_under_reports() {
-    // The single batch fsync fails with followers still queued behind the
-    // leader: the whole batch (and everything enqueued behind it) must be
-    // refused, and any surviving appended-but-unsynced records may only
-    // push recovery upward.
-    for at in [1, 2, 3, 5, 10, 25] {
-        let outcome = kill_mid_charge_mode(FaultPlan::fail_sync_after(at), 4, 60, at, true);
-        assert!(outcome.journal_faults > 0, "fault at sync {at} never fired");
-        check_no_under_report(&outcome, &format!("group/fail_sync_after({at})"));
-    }
-}
-
-#[test]
-fn group_torn_leader_write_at_every_offset_never_under_reports() {
-    for keep in 0..64 {
-        let outcome = kill_mid_charge_mode(torn_kill(12, keep), 4, 60, keep as u64, true);
-        check_no_under_report(&outcome, &format!("group/torn_append(12, {keep})"));
     }
 }
 
@@ -357,7 +304,7 @@ fn failed_batch_latches_the_journal_for_every_enqueued_charger() {
     // of the 8 chargers the leader gathered — and everyone who arrives
     // after — must see a journal refusal: zero acknowledgements, zero
     // in-memory spend, one latched journal.
-    let outcome = kill_mid_charge_mode(FaultPlan::fail_sync_after(1), 8, 5, 99, true);
+    let outcome = kill_mid_charge(FaultPlan::fail_sync_after(1), 8, 5, 99);
     assert!(
         outcome.acknowledged.is_empty(),
         "charges acknowledged past a failed batch fsync: {:?}",
@@ -394,7 +341,7 @@ fn kill_between_append_and_follower_wakeup_only_over_reports() {
     // state by appending one well-formed, never-acknowledged charge frame
     // to a cleanly killed log. Recovery must count it — the one-sided
     // inequality's over-report direction, exactly.
-    let outcome = kill_mid_charge_mode(FaultPlan::none(), 4, 50, 7, true);
+    let outcome = kill_mid_charge(FaultPlan::none(), 4, 50, 7);
     let gamma = <Dyadic as Budget>::charge_from_f64(0.125);
     let mut payload = vec![0x01u8]; // KIND_CHARGE
     payload.extend_from_slice(&3u64.to_le_bytes());
@@ -429,15 +376,13 @@ fn skewed_principal(rnd: &mut impl FnMut(u64) -> u64) -> u64 {
 }
 
 proptest! {
-    /// Randomized fault kind × fault point × tear length × commit mode ×
-    /// schedule: the generalization of the swept tests above, over both
-    /// the serial (fsync-per-charge) and group-commit write paths.
+    /// Randomized fault kind × fault point × tear length × schedule:
+    /// the generalization of the swept tests above.
     #[test]
     fn recovery_never_under_reports(
         kind in 0u8..5,
         at in 0u64..50,
         keep in 0usize..80,
-        group in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let plan = match kind {
@@ -447,11 +392,8 @@ proptest! {
             3 => FaultPlan::torn_append(at, keep),
             _ => FaultPlan::fail_sync_after(at),
         };
-        let outcome = kill_mid_charge_mode(plan, 3, 40, seed, group);
-        check_no_under_report(
-            &outcome,
-            &format!("kind {kind} at {at} keep {keep} group {group}"),
-        );
+        let outcome = kill_mid_charge(plan, 3, 40, seed);
+        check_no_under_report(&outcome, &format!("kind {kind} at {at} keep {keep}"));
     }
 
     /// Concurrent charges under zipfian hot/cold skew never exceed any

@@ -15,13 +15,30 @@
 
 use proptest::prelude::*;
 use sampcert_core::{
-    replay, Budget, CompactionPolicy, DurableRegistry, Dyadic, FaultPlan, FileStorage, MemStorage,
-    PureDp, ReplaceFault,
+    replay, Budget, CompactionPolicy, DurableOptions, DurableRegistry, Dyadic, FaultPlan,
+    FileStorage, JournalStorage, MemStorage, PureDp, RecoveryError, RecoveryReport, ReplaceFault,
 };
 use std::collections::BTreeMap;
 
 const PER_PRINCIPAL: f64 = 4.0;
 const SHARDS: usize = 4;
+
+/// The per-principal allowance in the carrier.
+fn allowance() -> Dyadic {
+    <Dyadic as Budget>::budget_from_f64(PER_PRINCIPAL)
+}
+
+/// A fresh registry with the default options over empty `storage`.
+fn create<S: JournalStorage>(storage: S) -> DurableRegistry<PureDp, Dyadic, S> {
+    DurableRegistry::create_with_budget(allowance(), SHARDS, storage).unwrap()
+}
+
+/// A restart: recovery over `storage` with the default options.
+fn recover<S: JournalStorage>(
+    storage: S,
+) -> Result<(DurableRegistry<PureDp, Dyadic, S>, RecoveryReport), RecoveryError> {
+    DurableRegistry::open_with_options(allowance(), SHARDS, storage, DurableOptions::default())
+}
 
 /// Same xorshift schedule the crash-consistency suite uses.
 fn schedule(seed: u64) -> impl FnMut(u64) -> u64 {
@@ -84,15 +101,12 @@ fn torn_compaction_leaves_the_old_journal_authoritative() {
     // KeepOld = the crash hit anywhere before the rename landed: staging
     // write, staging fsync, or the rename itself. The old journal must
     // survive untouched — same bytes, same replay.
-    for (group, seed) in [(false, 1u64), (true, 2), (false, 3), (true, 4)] {
+    for seed in [1u64, 2, 3, 4] {
         let storage = MemStorage::new();
         let faulty = storage
             .clone()
             .with_plan(FaultPlan::fail_replace(0, ReplaceFault::KeepOld));
-        let registry = DurableRegistry::<PureDp, Dyadic, _>::create(PER_PRINCIPAL, SHARDS, faulty)
-            .unwrap()
-            .with_checkpoint_every(7)
-            .with_group_commit(group);
+        let registry = create(faulty).with_checkpoint_every(7);
         let acked = run_workload(&registry, 80, seed);
         let before = storage.contents();
 
@@ -103,10 +117,10 @@ fn torn_compaction_leaves_the_old_journal_authoritative() {
         assert_eq!(
             storage.contents(),
             before,
-            "[group {group}] failed swap mutated the old journal"
+            "[seed {seed}] failed swap mutated the old journal"
         );
         drop(registry);
-        check_survivor(&before, &acked, &format!("keep-old group {group}"));
+        check_survivor(&before, &acked, &format!("keep-old seed {seed}"));
     }
 }
 
@@ -116,27 +130,24 @@ fn compaction_crash_after_rename_keeps_the_new_journal_whole() {
     // returned (e.g. in the parent-dir fsync or reopen). The compacted
     // log is the journal now, and it must already carry every
     // acknowledged charge.
-    for (group, seed) in [(false, 5u64), (true, 6)] {
+    for seed in [5u64, 6] {
         let storage = MemStorage::new();
         let faulty = storage
             .clone()
             .with_plan(FaultPlan::fail_replace(0, ReplaceFault::KeepNew));
-        let registry = DurableRegistry::<PureDp, Dyadic, _>::create(PER_PRINCIPAL, SHARDS, faulty)
-            .unwrap()
-            .with_checkpoint_every(7)
-            .with_group_commit(group);
+        let registry = create(faulty).with_checkpoint_every(7);
         let acked = run_workload(&registry, 80, seed);
         let err = registry.compact_now().expect_err("injected replace fault");
         assert_eq!(err.op, "replace");
         drop(registry);
 
         let survivor = storage.contents();
-        check_survivor(&survivor, &acked, &format!("keep-new group {group}"));
+        check_survivor(&survivor, &acked, &format!("keep-new seed {seed}"));
         // The survivor is the compacted form: recovery equals the
         // acknowledged sums exactly (a snapshot has no unsynced tail).
         let recovery = replay::<PureDp, Dyadic>(&survivor).unwrap();
         let recovered: BTreeMap<u64, Dyadic> = recovery.spent.into_iter().collect();
-        assert_eq!(recovered, acked, "group {group}");
+        assert_eq!(recovered, acked, "seed {seed}");
     }
 }
 
@@ -149,18 +160,14 @@ fn mid_swap_failure_latches_until_restart() {
     let faulty = storage
         .clone()
         .with_plan(FaultPlan::fail_replace(0, ReplaceFault::KeepNew));
-    let registry = DurableRegistry::<PureDp, Dyadic, _>::create(PER_PRINCIPAL, SHARDS, faulty)
-        .unwrap()
-        .with_group_commit(true);
+    let registry = create(faulty);
     let acked = run_workload(&registry, 40, 11);
     registry.compact_now().expect_err("injected replace fault");
     assert_eq!(registry.journal_error().map(|e| e.op), Some("replace"));
     assert!(registry.charge_exact(0, Dyadic::zero()).is_err());
     drop(registry);
 
-    let (back, report) =
-        DurableRegistry::<PureDp, Dyadic, _>::recover(PER_PRINCIPAL, SHARDS, storage.reopen())
-            .expect("survivor recovers");
+    let (back, report) = recover(storage.reopen()).expect("survivor recovers");
     assert!(!report.torn_tail);
     for (principal, spent) in &acked {
         assert_eq!(back.spent_exact(*principal), *spent);
@@ -181,10 +188,13 @@ fn file_backed_compaction_survives_a_real_restart() {
     let _ = std::fs::remove_file(&path);
 
     let storage = FileStorage::open(&path).unwrap();
-    let registry = DurableRegistry::<PureDp, Dyadic, _>::create(PER_PRINCIPAL, SHARDS, storage)
-        .unwrap()
-        .with_group_commit(true)
-        .with_compaction(CompactionPolicy::max_bytes(1));
+    let (registry, _) = DurableRegistry::<PureDp, Dyadic, _>::open_with_options(
+        allowance(),
+        SHARDS,
+        storage,
+        DurableOptions::default().compaction(CompactionPolicy::max_bytes(1)),
+    )
+    .unwrap();
     let mut acked: BTreeMap<u64, Dyadic> = BTreeMap::new();
     // max_bytes(1) kicks the background compactor after every
     // acknowledged charge — the harshest policy — so the log keeps being
@@ -212,9 +222,7 @@ fn file_backed_compaction_survives_a_real_restart() {
     assert_eq!(std::fs::metadata(&path).unwrap().len(), compacted);
 
     let restarted = FileStorage::open(&path).unwrap();
-    let (back, report) =
-        DurableRegistry::<PureDp, Dyadic, _>::recover(PER_PRINCIPAL, SHARDS, restarted)
-            .expect("compacted file recovers");
+    let (back, report) = recover(restarted).expect("compacted file recovers");
     assert!(!report.torn_tail);
     for (principal, spent) in &acked {
         assert_eq!(back.spent_exact(*principal), *spent);
@@ -223,25 +231,20 @@ fn file_backed_compaction_survives_a_real_restart() {
 }
 
 proptest! {
-    /// Randomized workload × commit mode × crash side: compaction killed
-    /// at an arbitrary point never under-reports, recovery is
+    /// Randomized workload × crash side × checkpoint cadence: compaction
+    /// killed at an arbitrary point never under-reports, recovery is
     /// idempotent, and a pre-rename kill leaves the old bytes untouched.
     #[test]
     fn compaction_kill_never_under_reports(
         ops in 1usize..120,
         seed in any::<u64>(),
-        group in any::<bool>(),
         keep_new in any::<bool>(),
         cadence in 1u64..12,
     ) {
         let outcome = if keep_new { ReplaceFault::KeepNew } else { ReplaceFault::KeepOld };
         let storage = MemStorage::new();
         let faulty = storage.clone().with_plan(FaultPlan::fail_replace(0, outcome));
-        let registry =
-            DurableRegistry::<PureDp, Dyadic, _>::create(PER_PRINCIPAL, SHARDS, faulty)
-                .unwrap()
-                .with_checkpoint_every(cadence)
-                .with_group_commit(group);
+        let registry = create(faulty).with_checkpoint_every(cadence);
         let acked = run_workload(&registry, ops, seed);
         let before = storage.contents();
         prop_assert!(registry.compact_now().is_err());
@@ -252,7 +255,7 @@ proptest! {
             prop_assert_eq!(&survivor, &before, "pre-rename kill must not touch the old log");
         }
         check_survivor(&survivor, &acked, &format!(
-            "ops {ops} group {group} keep_new {keep_new} cadence {cadence}"
+            "ops {ops} keep_new {keep_new} cadence {cadence}"
         ));
     }
 }
