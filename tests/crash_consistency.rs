@@ -291,10 +291,69 @@ fn fsync_failure_only_over_reports() {
     // refuses every charge in the batch and everything enqueued behind
     // it (degrade-to-reject), but their records may survive in the log,
     // so recovery may only drift upward from the acknowledged sums.
-    for at in [1, 2, 3, 5, 10, 25] {
+    for at in [1, 3, 10, 25] {
         let outcome = kill_mid_charge(FaultPlan::fail_sync_after(at), 4, 60, at);
         assert!(outcome.journal_faults > 0, "fault at sync {at} never fired");
         check_no_under_report(&outcome, &format!("fail_sync_after({at})"));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Contended group commit: the same kills with followers queued behind leaders
+// ---------------------------------------------------------------------------
+
+/// Chargers in the contended runs: twice the sweeps above, so a batch
+/// leader routinely gathers followers and the faults land mid-batch.
+const CONTENDED: usize = 8;
+
+#[test]
+fn group_commit_fault_free_runs_recover_exactly() {
+    for seed in 0..4 {
+        let outcome = kill_mid_charge(FaultPlan::none(), CONTENDED, 50, seed);
+        assert_eq!(outcome.journal_faults, 0);
+        let bytes = outcome.handle.contents();
+        let recovery = replay::<PureDp, Dyadic>(&bytes).expect("clean log");
+        let recovered: BTreeMap<u64, Dyadic> = recovery.spent.into_iter().collect();
+        assert_eq!(recovered, outcome.acknowledged, "seed {seed}");
+        check_no_under_report(&outcome, "group/none");
+    }
+}
+
+#[test]
+fn group_leader_append_failure_at_every_early_point_never_under_reports() {
+    // The leader's batch append fails partway through a batch of queued
+    // followers: every record already written in it is unsynced, every
+    // charge in the batch must be refused, and the latch stops the rest.
+    for at in 0..40 {
+        let outcome = kill_mid_charge(FaultPlan::fail_append_after(at), CONTENDED, 30, at);
+        assert!(
+            outcome.journal_faults > 0,
+            "fault at append {at} never fired"
+        );
+        check_no_under_report(&outcome, &format!("group/fail_append_after({at})"));
+    }
+}
+
+#[test]
+fn group_batch_fsync_failure_mid_queue_never_under_reports() {
+    // The single batch fsync fails with followers still queued behind the
+    // leader: the whole batch (and everything enqueued behind it) must be
+    // refused, and any surviving appended-but-unsynced records may only
+    // push recovery upward.
+    for at in [1, 2, 3, 5, 10, 25] {
+        let outcome = kill_mid_charge(FaultPlan::fail_sync_after(at), CONTENDED, 30, at);
+        assert!(outcome.journal_faults > 0, "fault at sync {at} never fired");
+        check_no_under_report(&outcome, &format!("group/fail_sync_after({at})"));
+    }
+}
+
+#[test]
+fn group_torn_leader_write_at_every_offset_never_under_reports() {
+    // The torn sweep above with followers queued: the tear lands inside
+    // a leader's multi-charge write.
+    for keep in 0..64 {
+        let outcome = kill_mid_charge(torn_kill(12, keep), CONTENDED, 30, keep as u64);
+        check_no_under_report(&outcome, &format!("group/torn_append(12, {keep})"));
     }
 }
 
