@@ -2,7 +2,8 @@
 //! tables.
 //!
 //! ```text
-//! reproduce [fig2|fig4|fig5|fig6|claims|arith|batch|serve|load|analyze|all] [--samples N] [--full]
+//! reproduce [fig2|fig4|fig5|fig6|claims|arith|batch|analyze|all] [--samples N] [--full]
+//!           [--label L] [--out P] [--deny-findings]
 //! ```
 //!
 //! - `fig2`: two discrete Laplace densities (the ε intuition picture);
@@ -11,14 +12,17 @@
 //! - `fig6`: random bytes consumed by the Algorithm-2 sampler vs σ
 //!   (power-of-two spikes);
 //! - `claims`: the quantitative claims of Section 4.2 (≥2× over
-//!   `sample_dgauss`; optimized ≈ pointwise best; diffprivlib linear).
+//!   `sample_dgauss`; optimized ≈ pointwise best; diffprivlib linear);
+//! - `arith`, `batch`, `analyze`: write `BENCH_<target>.json` (or
+//!   `--out P`); see each target's function;
+//! - `all` (the default): `fig2` through `claims`.
 //!
 //! `--full` sweeps σ = 1..=50 as in the paper; the default sweep is a
 //! subsample for quick runs. Results are deterministic (seeded PRG bytes).
 
 use sampcert_bench::{
-    arith_bench, batch_bench, entropy_sweep, load_bench, ms_per_sample, print_table, runtime_sweep,
-    serve_bench, GaussianImpl, Row,
+    arith_bench, batch_bench, entropy_sweep, ms_per_sample, print_table, runtime_sweep,
+    GaussianImpl, Row,
 };
 use sampcert_samplers::pmf::laplace_pmf;
 use std::time::Duration;
@@ -205,133 +209,6 @@ fn batch(args: &[String]) {
     write_merged("sampcert-bench/batch-v1", out, label, &rows);
 }
 
-/// Runs the concurrent-serving measurement set and updates
-/// `BENCH_serve.json` — raw serving throughput vs lane count, sharded
-/// vs global-mutex metering, deterministic vs OS-entropy backends. Same
-/// labeled merge workflow as [`arith`]; `--quick` shrinks the per-call
-/// sample count for smoke runs.
-fn serve(args: &[String]) {
-    let label = flag_value(args, "--label", "current");
-    let out = flag_value(args, "--out", "BENCH_serve.json");
-    let quick = args.iter().any(|a| a == "--quick");
-    println!("\n## Concurrent serving micro-benchmarks (ns per served sample, median of runs)");
-    let rows = serve_bench::measure_all(quick);
-    for (name, ns) in &rows {
-        println!("{name:>28}  {ns:>14.1}");
-    }
-    let get = |n: &str| rows.iter().find(|(name, _)| *name == n).map(|(_, v)| *v);
-    if let (Some(t1), Some(t8)) = (get("serve_gauss64_det_t1"), get("serve_gauss64_det_t8")) {
-        println!(
-            "8-lane serving throughput = {:.2}x single-lane (host_parallelism {})",
-            t1 / t8,
-            get("host_parallelism").unwrap_or(1.0)
-        );
-    }
-    if get("degenerate_scaling") == Some(1.0) {
-        println!(
-            "degenerate_scaling: 1-core host — thread-scaling rows collapse by construction; \
-             only the charge-path attribution rows carry signal"
-        );
-    }
-    if let (Some(sh), Some(mx)) = (get("metered_sharded_f64_t8"), get("metered_mutex_f64_t8")) {
-        println!(
-            "sharded ledger serves {:.2}x the global-mutex throughput at 8 workers",
-            mx / sh
-        );
-    }
-    if let (Some(sh), Some(mx)) = (
-        get("charge_perdraw_sharded_f64_t8"),
-        get("charge_perdraw_mutex_f64_t8"),
-    ) {
-        println!(
-            "charging hot path alone: sharded handles {:.2}x the global-mutex charge rate",
-            mx / sh
-        );
-    }
-    if let (Some(off), Some(on)) = (
-        get("charge_registry_dyadic_t4"),
-        get("charge_durable_mem_dyadic_t4"),
-    ) {
-        println!(
-            "write-ahead journaling costs {:.2}x the plain per-principal charge rate \
-             (in-memory WAL; fsync-per-charge on this host: {:.0} ns)",
-            on / off,
-            get("charge_durable_fsync_t1").unwrap_or(0.0)
-        );
-    }
-    if let (Some(serial), Some(group)) = (
-        get("charge_durable_fsync_t8"),
-        get("charge_durable_group_t8"),
-    ) {
-        println!(
-            "group commit serves {:.2}x the fsync-per-charge durable rate at 8 chargers",
-            serial / group
-        );
-    }
-    if let (Some(before), Some(after)) = (
-        get("journal_precompact_bytes"),
-        get("journal_compacted_bytes"),
-    ) {
-        println!(
-            "compaction shrinks the journal {before:.0} -> {after:.0} bytes \
-             (bounded by snapshot size, not history)"
-        );
-    }
-    if let Some(charge_1m) = get("charge_registry_1m") {
-        println!(
-            "million-principal book: {charge_1m:.0} ns per zipfian charge, \
-             {:.0} ns build and {:.0} bytes RSS per principal",
-            get("registry_1m_build_ns_per_principal").unwrap_or(0.0),
-            get("registry_1m_rss_bytes_per_principal").unwrap_or(0.0)
-        );
-    }
-    write_merged("sampcert-bench/serve-v1", out, label, &rows);
-}
-
-/// Runs the open-loop load harness against the async serving runtime
-/// and merges its rows into `BENCH_serve.json` under the `load` label
-/// (its own labeled run, so the `serve` rows under `current` are
-/// preserved) — arrival-rate sweeps at 0.25× and 4× the measured
-/// saturation throughput with p50/p99/p999 latency and shed rates, plus
-/// the deterministic budget-keyed shed fraction. `--quick` shrinks the
-/// arrival counts for CI smoke runs.
-fn load(args: &[String]) {
-    let label = flag_value(args, "--label", "load");
-    let out = flag_value(args, "--out", "BENCH_serve.json");
-    let quick = args.iter().any(|a| a == "--quick");
-    println!("\n## Open-loop load harness (arrival-rate sweep over answer_async)");
-    let rows = load_bench::measure_all(quick);
-    for (name, v) in &rows {
-        println!("{name:>24}  {v:>14.2}");
-    }
-    let get = |n: &str| rows.iter().find(|(name, _)| *name == n).map(|(_, v)| *v);
-    if let (Some(sat), Some(lo), Some(hi)) = (
-        get("load_saturation_kops"),
-        get("load_lo_shed_rate"),
-        get("load_hi_shed_rate"),
-    ) {
-        println!(
-            "saturation {sat:.1} kops/s; shed rate {:.1}% at 0.25x arrival vs {:.1}% at 4x \
-             (sheds cost nothing: refused before any charge)",
-            lo * 100.0,
-            hi * 100.0
-        );
-    }
-    if let (Some(p50), Some(p999)) = (get("load_hi_p50_us"), get("load_hi_p999_us")) {
-        println!(
-            "overloaded tail: p50 {p50:.0} us -> p999 {p999:.0} us \
-             (queue-depth-bounded, not unbounded, thanks to door shedding)"
-        );
-    }
-    if let Some(b) = get("load_budget_shed_rate") {
-        println!(
-            "budget-keyed shedding: {:.0}% of over-budget requests refused pre-charge",
-            b * 100.0
-        );
-    }
-    write_merged("sampcert-bench/serve-v1", out, label, &rows);
-}
-
 /// Runs the static timing-leak & entropy analysis over every registered
 /// extracted program, prints the verdict table, writes the
 /// `sampcert-extract/analyze-v1` JSON report, and (with `--deny-findings`)
@@ -390,21 +267,43 @@ fn analyze_cmd(args: &[String]) {
     }
 }
 
+/// Every target, in the order the module-doc usage line lists them.
+const TARGETS: &str = "fig2|fig4|fig5|fig6|claims|arith|batch|analyze|all";
+
+/// The flags whose next argument is their value, never the target.
+const VALUE_FLAGS: [&str; 3] = ["--samples", "--label", "--out"];
+
+/// Picks the target: the first argument that is neither a flag nor a
+/// flag's value, or `all` when there is none. A name outside
+/// [`TARGETS`] yields the unknown-target message.
+fn target(args: &[String]) -> Result<&str, String> {
+    let mut rest = args.iter();
+    let mut which = "all";
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next();
+        } else if !arg.starts_with("--") {
+            which = arg;
+            break;
+        }
+    }
+    if TARGETS.split('|').any(|t| t == which) {
+        Ok(which)
+    } else {
+        Err(format!("unknown target `{which}`; expected {TARGETS}"))
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
-    let samples = args
-        .iter()
-        .position(|a| a == "--samples")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    let samples = flag_value(&args, "--samples", "")
+        .parse()
         .unwrap_or(2_000usize);
-    let samples_value_idx = args.iter().position(|a| a == "--samples").map(|i| i + 1);
-    let which = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && Some(*i) != samples_value_idx)
-        .map_or("all", |(_, a)| a.as_str());
+    let which = target(&args).unwrap_or_else(|unknown| {
+        eprintln!("{unknown}");
+        std::process::exit(2);
+    });
 
     println!(
         "# SampCert reproduction — evaluation tables (deterministic seeds, {samples} samples/point)"
@@ -417,21 +316,45 @@ fn main() {
         "claims" => claims(samples),
         "arith" => arith(&args),
         "batch" => batch(&args),
-        "serve" => serve(&args),
-        "load" => load(&args),
         "analyze" => analyze_cmd(&args),
-        "all" => {
+        // `all`, the only target left that `target` admits.
+        _ => {
             fig2();
             fig4(samples, full);
             fig5(samples, full);
             fig6(samples * 2, full);
             claims(samples);
         }
-        other => {
-            eprintln!(
-                "unknown target `{other}`; expected fig2|fig4|fig5|fig6|claims|arith|batch|serve|load|analyze|all"
-            );
-            std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn flag_values_are_skipped_and_unknown_targets_refused() {
+        for line in [
+            "--label x --out a.json fig2",
+            "fig2 --label x --out a.json",
+            "--samples 10 fig2 --full",
+            "--full --out a.json fig2",
+        ] {
+            assert_eq!(target(&args(line)), Ok("fig2"), "{line}");
         }
+        assert_eq!(target(&args("--samples 10 --label x")), Ok("all"));
+        assert_eq!(target(&[]), Ok("all"));
+        for name in ["x", "serve", "load"] {
+            assert_eq!(
+                target(&args(&format!("--out a.json {name}"))),
+                Err(format!("unknown target `{name}`; expected {TARGETS}"))
+            );
+        }
+        let usage = format!("//! reproduce [{TARGETS}]");
+        assert!(include_str!("reproduce.rs").contains(&usage));
     }
 }

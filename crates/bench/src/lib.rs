@@ -18,8 +18,6 @@ use std::time::Instant;
 
 pub mod arith_bench;
 pub mod batch_bench;
-pub mod load_bench;
-pub mod serve_bench;
 
 /// The five-plus-one sampler configurations of Figs. 4 and 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

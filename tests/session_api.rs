@@ -225,9 +225,8 @@ fn pooled_answer_many_equals_per_lane_replay_bytewise() {
 }
 
 /// Pooled noise requests vs the fused batch sampler: the mechanism path
-/// (through a `Session`, and through `Executor::run_into` directly, as
-/// `reproduce serve` drives it) draws exactly the per-lane
-/// `discrete_gaussian_many_into` replay.
+/// (through a `Session`, and through `Executor::run_into` directly)
+/// draws exactly the per-lane `discrete_gaussian_many_into` replay.
 #[test]
 fn pooled_noise_request_equals_per_lane_gaussian_many_bytewise() {
     use sampcert::arith::Nat;
