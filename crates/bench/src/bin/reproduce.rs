@@ -19,12 +19,19 @@
 //!
 //! `--full` sweeps σ = 1..=50 as in the paper; the default sweep is a
 //! subsample for quick runs. Results are deterministic (seeded PRG bytes).
+//!
+//! Exit status: 0 on success, and also when the reader of stdout goes
+//! away early (`reproduce fig6 | head -1`); 1 when `--out` cannot be
+//! written or `analyze --deny-findings` finds gate errors; 2 for an
+//! unknown target or flag, a flag without its value, or a `--samples`
+//! that is not a positive whole number.
 
 use sampcert_bench::{
-    arith_bench, batch_bench, entropy_sweep, ms_per_sample, print_table, runtime_sweep,
+    arith_bench, batch_bench, entropy_sweep, ms_per_sample, runtime_sweep, write_table,
     GaussianImpl, Row,
 };
 use sampcert_samplers::pmf::laplace_pmf;
+use std::io::{self, Write};
 use std::time::Duration;
 
 fn sigmas(full: bool) -> Vec<u64> {
@@ -35,36 +42,43 @@ fn sigmas(full: bool) -> Vec<u64> {
     }
 }
 
-fn fig2() {
-    println!("\n## Fig. 2 — two discrete Laplace distributions (t = 1), means 0 and 1");
-    println!("{:>5}  {:>12}  {:>12}", "x", "Lap(0)", "Lap(1)");
+fn fig2(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "\n## Fig. 2 — two discrete Laplace distributions (t = 1), means 0 and 1"
+    )?;
+    writeln!(out, "{:>5}  {:>12}  {:>12}", "x", "Lap(0)", "Lap(1)")?;
     for x in -4i64..=4 {
-        println!(
+        writeln!(
+            out,
             "{:>5}  {:>12.6}  {:>12.6}",
             x,
             laplace_pmf(1.0, x),
             laplace_pmf(1.0, x - 1)
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn fig4(samples: usize, full: bool) {
+fn fig4(out: &mut dyn Write, samples: usize, full: bool) -> io::Result<()> {
     let rows = runtime_sweep(&GaussianImpl::FIG4, &sigmas(full), samples);
-    print_table(
+    write_table(
+        out,
         "Fig. 4 — Gaussian sampler runtime (ms/sample) vs sigma",
         &rows,
-    );
+    )
 }
 
-fn fig5(samples: usize, full: bool) {
+fn fig5(out: &mut dyn Write, samples: usize, full: bool) -> io::Result<()> {
     let rows = runtime_sweep(&GaussianImpl::FIG5, &sigmas(full), samples);
-    print_table(
+    write_table(
+        out,
         "Fig. 5 — Fig. 4 series plus the compiled (fused) sampler",
         &rows,
-    );
+    )
 }
 
-fn fig6(samples: usize, full: bool) {
+fn fig6(out: &mut dyn Write, samples: usize, full: bool) -> io::Result<()> {
     let s = if full {
         (1..=50).collect::<Vec<u64>>()
     } else {
@@ -72,14 +86,15 @@ fn fig6(samples: usize, full: bool) {
         vec![1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 50]
     };
     let rows = entropy_sweep(&s, samples);
-    print_table(
+    write_table(
+        out,
         "Fig. 6 — average random bytes per sample, Algorithm 2 (uniform loop)",
         &rows,
-    );
+    )
 }
 
-fn claims(samples: usize) {
-    println!("\n## Section 4.2 — quantitative claims");
+fn claims(out: &mut dyn Write, samples: usize) -> io::Result<()> {
+    writeln!(out, "\n## Section 4.2 — quantitative claims")?;
     let probe = [5u64, 10, 20, 30, 40, 50];
 
     // Claim 1: the deployed (extracted/compiled) SampCert sampler is ≥2×
@@ -99,15 +114,17 @@ fn claims(samples: usize) {
             .collect::<Vec<_>>()
     };
     let min_fused = fused_ratios.iter().copied().fold(f64::INFINITY, f64::min);
-    println!(
+    writeln!(
+        out,
         "sample_dgauss / Compiled(Optimized) speedup over sigma {probe:?}: {:?} (min {:.2}x)",
         round2(&fused_ratios),
         min_fused
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "sample_dgauss / SampCert+Optimized (interpreted) over sigma {probe:?}: {:?}",
         round2(&interp_ratios)
-    );
+    )?;
 
     // Claim 2: optimized ≈ pointwise min of the two fixed algorithms.
     let mut rows = Vec::new();
@@ -125,39 +142,35 @@ fn claims(samples: usize) {
             ],
         });
     }
-    print_table("Optimized vs pointwise best of the two loops", &rows);
+    write_table(out, "Optimized vs pointwise best of the two loops", &rows)?;
 
     // Claim 3: diffprivlib runtime grows linearly in sigma.
     let d5 = ms_per_sample(GaussianImpl::Diffprivlib, 5, samples);
     let d50 = ms_per_sample(GaussianImpl::Diffprivlib, 50, samples);
-    println!(
+    writeln!(
+        out,
         "diffprivlib ms/sample: sigma=5 -> {d5:.6}, sigma=50 -> {d50:.6} (x{:.1}; linear growth expected ~10x)",
         d50 / d5
-    );
+    )
 }
 
-/// Returns the value following `flag` in `args`, or `default` when the
-/// flag is absent (or is the last argument).
-fn flag_value<'a>(args: &'a [String], flag: &str, default: &'a str) -> &'a str {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map_or(default, std::string::String::as_str)
-}
-
-/// Merges `rows` into the labeled-runs document at `out` and writes it
+/// Merges `rows` into the labeled-runs document at `path` and writes it
 /// back — the shared `--label`/`--out` workflow of every measurement
-/// subcommand. Exits with status 1 when `out` is unwritable.
-fn write_merged(schema: &str, out: &str, label: &str, rows: &[(&'static str, f64)]) {
-    let existing = std::fs::read_to_string(out).ok();
+/// subcommand. Exits with status 1 when `path` is unwritable.
+fn write_merged(
+    out: &mut dyn Write,
+    schema: &str,
+    path: &str,
+    label: &str,
+    rows: &[(&'static str, f64)],
+) -> io::Result<()> {
+    let existing = std::fs::read_to_string(path).ok();
     let doc = arith_bench::to_json_for_schema(schema, existing.as_deref(), label, rows);
-    match std::fs::write(out, &doc) {
-        Ok(()) => println!("\nwrote {out} (label: {label})"),
-        Err(e) => {
-            eprintln!("could not write {out}: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = std::fs::write(path, &doc) {
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
     }
+    writeln!(out, "\nwrote {path} (label: {label})")
 }
 
 /// Runs the arithmetic micro-bench set and updates `BENCH_arith.json`.
@@ -168,45 +181,47 @@ fn write_merged(schema: &str, out: &str, label: &str, rows: &[(&'static str, f64
 /// `speedup_vs_baseline` section is derived whenever a `baseline` run
 /// exists — so measuring before and after a change never requires editing
 /// the JSON by hand. The table is also printed to stdout.
-fn arith(args: &[String]) {
-    let label = flag_value(args, "--label", "current");
-    let out = flag_value(args, "--out", "BENCH_arith.json");
-    println!("\n## Arithmetic micro-benchmarks (ns/op, median of 7 batches)");
+fn arith(out: &mut dyn Write, opts: &Opts) -> io::Result<()> {
+    writeln!(
+        out,
+        "\n## Arithmetic micro-benchmarks (ns/op, median of 7 batches)"
+    )?;
     let rows = arith_bench::measure_all(7, Duration::from_millis(20));
     for (name, ns) in &rows {
-        println!("{name:>24}  {ns:>14.1}");
+        writeln!(out, "{name:>24}  {ns:>14.1}")?;
     }
-    write_merged("sampcert-bench/arith-v2", out, label, &rows);
+    let path = opts.out.as_deref().unwrap_or("BENCH_arith.json");
+    write_merged(out, "sampcert-bench/arith-v2", path, &opts.label, &rows)
 }
 
 /// Runs the batched-serving micro-bench set and updates
 /// `BENCH_batch.json` — batched vs per-draw Gaussian throughput at
 /// σ ∈ {4, 64, 1024} plus accountant/ledger batch charging. Same labeled
 /// merge workflow as [`arith`].
-fn batch(args: &[String]) {
-    let label = flag_value(args, "--label", "current");
-    let out = flag_value(args, "--out", "BENCH_batch.json");
-    println!("\n## Batched serving micro-benchmarks (ns/op, median of 7 batches)");
+fn batch(out: &mut dyn Write, opts: &Opts) -> io::Result<()> {
+    writeln!(
+        out,
+        "\n## Batched serving micro-benchmarks (ns/op, median of 7 batches)"
+    )?;
     let rows = batch_bench::measure_all(7, Duration::from_millis(20));
     for (name, ns) in &rows {
-        println!("{name:>28}  {ns:>14.1}");
+        writeln!(out, "{name:>28}  {ns:>14.1}")?;
     }
-    let per_vs_batched = |s: &str| {
-        let get = |n: String| rows.iter().find(|(name, _)| *name == n).map(|(_, v)| *v);
+    let get = |n: String| rows.iter().find(|(name, _)| *name == n).map(|(_, v)| *v);
+    for s in ["4", "64", "1024"] {
         if let (Some(p), Some(b)) = (
             get(format!("gauss_sigma{s}_perdraw")),
             get(format!("gauss_sigma{s}_batched")),
         ) {
-            println!(
+            writeln!(
+                out,
                 "sigma {s}: batched serves {:.2}x the per-draw throughput",
                 p / b
-            );
+            )?;
         }
-    };
-    for s in ["4", "64", "1024"] {
-        per_vs_batched(s);
     }
-    write_merged("sampcert-bench/batch-v1", out, label, &rows);
+    let path = opts.out.as_deref().unwrap_or("BENCH_batch.json");
+    write_merged(out, "sampcert-bench/batch-v1", path, &opts.label, &rows)
 }
 
 /// Runs the static timing-leak & entropy analysis over every registered
@@ -215,18 +230,20 @@ fn batch(args: &[String]) {
 /// exits 1 on any gate error — verdict/bound drift from the committed
 /// registry expectations, or a static verdict the dynamic cross-checks
 /// contradict. This is the CI gate for the static analysis layer.
-fn analyze_cmd(args: &[String]) {
+fn analyze_cmd(out: &mut dyn Write, opts: &Opts) -> io::Result<()> {
     use sampcert_extract::{analysis_report, report_to_json, Bound};
 
-    let out = flag_value(args, "--out", "BENCH_analyze.json");
-    let deny = args.iter().any(|a| a == "--deny-findings");
-
-    println!("\n## Static timing-leak & entropy analysis (IR taint + interval bounds)");
+    let path = opts.out.as_deref().unwrap_or("BENCH_analyze.json");
+    writeln!(
+        out,
+        "\n## Static timing-leak & entropy analysis (IR taint + interval bounds)"
+    )?;
     let rows = analysis_report();
-    println!(
+    writeln!(
+        out,
         "{:<24} {:<46} {:>7} {:>11} {:>13}",
         "program", "verdict", "bytes", "worst-case", "cross-checks"
-    );
+    )?;
     let mut gate_errors = 0usize;
     for row in &rows {
         let worst = match row.bounds.worst_case {
@@ -234,16 +251,17 @@ fn analyze_cmd(args: &[String]) {
             Bound::Unbounded => "unbounded".to_string(),
         };
         let checks = if row.errors.is_empty() { "ok" } else { "FAIL" };
-        println!(
+        writeln!(
+            out,
             "{:<24} {:<46} {:>7} {:>11} {:>13}",
             row.name,
             row.verdict.signature(),
             format!("{}..{}", row.sweep.min_bytes, row.sweep.max_bytes),
             worst,
             checks
-        );
+        )?;
         for f in row.verdict.findings() {
-            println!("    [{:>10}] {}", f.kind.token(), f.witness());
+            writeln!(out, "    [{:>10}] {}", f.kind.token(), f.witness())?;
         }
         for e in &row.errors {
             gate_errors += 1;
@@ -251,79 +269,146 @@ fn analyze_cmd(args: &[String]) {
         }
     }
     let json = report_to_json(&rows);
-    match std::fs::write(out, &json) {
-        Ok(()) => println!(
-            "\nwrote {out} ({} programs, {gate_errors} gate errors)",
-            rows.len()
-        ),
-        Err(e) => {
-            eprintln!("could not write {out}: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = std::fs::write(path, &json) {
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
     }
-    if deny && gate_errors > 0 {
+    writeln!(
+        out,
+        "\nwrote {path} ({} programs, {gate_errors} gate errors)",
+        rows.len()
+    )?;
+    if opts.deny_findings && gate_errors > 0 {
         eprintln!("--deny-findings: {gate_errors} gate error(s)");
         std::process::exit(1);
     }
+    Ok(())
 }
 
 /// Every target, in the order the module-doc usage line lists them.
 const TARGETS: &str = "fig2|fig4|fig5|fig6|claims|arith|batch|analyze|all";
 
-/// The flags whose next argument is their value, never the target.
+/// The flags that take a value, and the ones that stand alone.
 const VALUE_FLAGS: [&str; 3] = ["--samples", "--label", "--out"];
+const SWITCHES: [&str; 2] = ["--full", "--deny-findings"];
 
-/// Picks the target: the first argument that is neither a flag nor a
-/// flag's value, or `all` when there is none. A name outside
-/// [`TARGETS`] yields the unknown-target message.
-fn target(args: &[String]) -> Result<&str, String> {
+/// A parsed command line.
+#[derive(Debug, PartialEq, Eq)]
+struct Opts {
+    /// One of [`TARGETS`].
+    target: &'static str,
+    samples: usize,
+    full: bool,
+    label: String,
+    /// `--out`; each measurement target has its own default file.
+    out: Option<String>,
+    deny_findings: bool,
+}
+
+/// Parses the arguments after the program name. The first argument that
+/// is not a flag or a flag's value is the target (`all` when there is
+/// none). Anything else is refused with a message naming the offending
+/// argument: an unknown target or flag, a second target, a value flag
+/// with no value, or a `--samples` that is not a positive whole number.
+fn parse(args: &[String]) -> Result<Opts, String> {
+    let mut opts = Opts {
+        target: "all",
+        samples: 2_000,
+        full: false,
+        label: "current".to_string(),
+        out: None,
+        deny_findings: false,
+    };
+    let mut target = None;
     let mut rest = args.iter();
-    let mut which = "all";
     while let Some(arg) = rest.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            rest.next();
-        } else if !arg.starts_with("--") {
-            which = arg;
-            break;
+        match arg.as_str() {
+            "--full" => opts.full = true,
+            "--deny-findings" => opts.deny_findings = true,
+            flag if VALUE_FLAGS.contains(&flag) => {
+                let value = rest
+                    .next()
+                    .ok_or_else(|| format!("flag `{flag}` needs a value"))?;
+                match flag {
+                    "--samples" => {
+                        opts.samples = value.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+                            format!(
+                                "flag `--samples` expects a positive whole number, got `{value}`"
+                            )
+                        })?;
+                    }
+                    "--label" => opts.label.clone_from(value),
+                    _ => opts.out = Some(value.clone()),
+                }
+            }
+            flag if flag.starts_with("--") => {
+                let known = [VALUE_FLAGS.as_slice(), SWITCHES.as_slice()].concat();
+                return Err(format!(
+                    "unknown flag `{flag}`; expected one of {}",
+                    known.join(", ")
+                ));
+            }
+            name => {
+                if let Some(first) = target {
+                    return Err(format!(
+                        "unexpected argument `{name}`: the target is already `{first}`"
+                    ));
+                }
+                let known = TARGETS.split('|').find(|t| *t == name);
+                target = Some(
+                    known.ok_or_else(|| format!("unknown target `{name}`; expected {TARGETS}"))?,
+                );
+            }
         }
     }
-    if TARGETS.split('|').any(|t| t == which) {
-        Ok(which)
-    } else {
-        Err(format!("unknown target `{which}`; expected {TARGETS}"))
+    if let Some(target) = target {
+        opts.target = target;
+    }
+    Ok(opts)
+}
+
+/// Runs the selected target, writing every table to `out`.
+fn run(out: &mut dyn Write, opts: &Opts) -> io::Result<()> {
+    let (samples, full) = (opts.samples, opts.full);
+    writeln!(
+        out,
+        "# SampCert reproduction — evaluation tables (deterministic seeds, {samples} samples/point)"
+    )?;
+    match opts.target {
+        "fig2" => fig2(out),
+        "fig4" => fig4(out, samples, full),
+        "fig5" => fig5(out, samples, full),
+        "fig6" => fig6(out, samples * 2, full),
+        "claims" => claims(out, samples),
+        "arith" => arith(out, opts),
+        "batch" => batch(out, opts),
+        "analyze" => analyze_cmd(out, opts),
+        // `all`, the only target left that `parse` admits.
+        _ => {
+            fig2(out)?;
+            fig4(out, samples, full)?;
+            fig5(out, samples, full)?;
+            fig6(out, samples * 2, full)?;
+            claims(out, samples)
+        }
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let samples = flag_value(&args, "--samples", "")
-        .parse()
-        .unwrap_or(2_000usize);
-    let which = target(&args).unwrap_or_else(|unknown| {
-        eprintln!("{unknown}");
+    let opts = parse(&args).unwrap_or_else(|refusal| {
+        eprintln!("{refusal}");
         std::process::exit(2);
     });
-
-    println!(
-        "# SampCert reproduction — evaluation tables (deterministic seeds, {samples} samples/point)"
-    );
-    match which {
-        "fig2" => fig2(),
-        "fig4" => fig4(samples, full),
-        "fig5" => fig5(samples, full),
-        "fig6" => fig6(samples * 2, full),
-        "claims" => claims(samples),
-        "arith" => arith(&args),
-        "batch" => batch(&args),
-        "analyze" => analyze_cmd(&args),
-        // `all`, the only target left that `target` admits.
-        _ => {
-            fig2();
-            fig4(samples, full);
-            fig5(samples, full);
-            fig6(samples * 2, full);
-            claims(samples);
+    let mut out = io::stdout().lock();
+    match run(&mut out, &opts).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        // The reader closed stdout early (`reproduce fig6 | head -1`): it
+        // has every line it asked for, so stop here, quietly.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("could not write to stdout: {e}");
+            std::process::exit(1);
         }
     }
 }
@@ -336,6 +421,10 @@ mod tests {
         line.split_whitespace().map(String::from).collect()
     }
 
+    fn target(line: &str) -> Result<&'static str, String> {
+        parse(&args(line)).map(|opts| opts.target)
+    }
+
     #[test]
     fn flag_values_are_skipped_and_unknown_targets_refused() {
         for line in [
@@ -344,17 +433,80 @@ mod tests {
             "--samples 10 fig2 --full",
             "--full --out a.json fig2",
         ] {
-            assert_eq!(target(&args(line)), Ok("fig2"), "{line}");
+            assert_eq!(target(line), Ok("fig2"), "{line}");
         }
-        assert_eq!(target(&args("--samples 10 --label x")), Ok("all"));
-        assert_eq!(target(&[]), Ok("all"));
+        assert_eq!(target("--samples 10 --label x"), Ok("all"));
+        assert_eq!(target(""), Ok("all"));
         for name in ["x", "serve", "load"] {
             assert_eq!(
-                target(&args(&format!("--out a.json {name}"))),
+                target(&format!("--out a.json {name}")),
                 Err(format!("unknown target `{name}`; expected {TARGETS}"))
             );
         }
         let usage = format!("//! reproduce [{TARGETS}]");
         assert!(include_str!("reproduce.rs").contains(&usage));
+    }
+
+    #[test]
+    fn every_flag_lands_in_the_options() {
+        let opts = parse(&args(
+            "analyze --samples 7 --label ci --out a.json --full --deny-findings",
+        ))
+        .unwrap();
+        assert_eq!(
+            opts,
+            Opts {
+                target: "analyze",
+                samples: 7,
+                full: true,
+                label: "ci".to_string(),
+                out: Some("a.json".to_string()),
+                deny_findings: true,
+            }
+        );
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(
+            (defaults.samples, defaults.label.as_str()),
+            (2_000, "current")
+        );
+        assert_eq!((defaults.out, defaults.full), (None, false));
+    }
+
+    #[test]
+    fn a_bad_samples_value_is_refused_naming_the_flag() {
+        for value in ["x", "1.5", "-3", "0", "--full"] {
+            let refusal = target(&format!("fig2 --samples {value}")).unwrap_err();
+            assert_eq!(
+                refusal,
+                format!("flag `--samples` expects a positive whole number, got `{value}`")
+            );
+        }
+        for flag in VALUE_FLAGS {
+            assert_eq!(
+                target(&format!("fig2 {flag}")),
+                Err(format!("flag `{flag}` needs a value"))
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_and_misspelled_flags_are_refused_naming_the_flag() {
+        for (line, flag) in [
+            ("--bogus fig2", "--bogus"),
+            ("fig2 --ful", "--ful"),
+            // A misspelled value flag: refused by its own name, never read
+            // as a target named after its value.
+            ("--sample 10 fig6", "--sample"),
+        ] {
+            let refusal = target(line).unwrap_err();
+            assert!(
+                refusal.starts_with(&format!("unknown flag `{flag}`; expected one of --samples")),
+                "{line}: {refusal}"
+            );
+        }
+        assert_eq!(
+            target("fig2 fig4"),
+            Err("unexpected argument `fig4`: the target is already `fig2`".to_string())
+        );
     }
 }

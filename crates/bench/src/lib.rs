@@ -14,6 +14,7 @@ use sampcert_arith::{Nat, Rat};
 use sampcert_baselines::{sample_dgauss, DiffprivlibGaussian};
 use sampcert_samplers::{discrete_gaussian, FusedGaussian, LaplaceAlg};
 use sampcert_slang::{ByteSource, CountingByteSource, Sampling, SeededByteSource};
+use std::io::{self, Write};
 use std::time::Instant;
 
 pub mod arith_bench;
@@ -186,25 +187,29 @@ pub fn entropy_sweep(sigmas: &[u64], samples: usize) -> Vec<Row> {
         .collect()
 }
 
-/// Prints rows as an aligned plain-text table with a header.
-pub fn print_table(title: &str, rows: &[Row]) {
-    println!("\n## {title}");
+/// Writes rows as an aligned plain-text table with a header.
+///
+/// # Errors
+///
+/// Whatever writing to `out` returns.
+pub fn write_table(out: &mut dyn Write, title: &str, rows: &[Row]) -> io::Result<()> {
+    writeln!(out, "\n## {title}")?;
     if rows.is_empty() {
-        println!("(no data)");
-        return;
+        return writeln!(out, "(no data)");
     }
-    print!("{:>6}", "sigma");
+    write!(out, "{:>6}", "sigma")?;
     for (label, _) in &rows[0].values {
-        print!("  {label:>26}");
+        write!(out, "  {label:>26}")?;
     }
-    println!();
+    writeln!(out)?;
     for row in rows {
-        print!("{:>6}", row.sigma);
+        write!(out, "{:>6}", row.sigma)?;
         for (_, v) in &row.values {
-            print!("  {v:>26.6}");
+            write!(out, "  {v:>26.6}")?;
         }
-        println!();
+        writeln!(out)?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -112,15 +112,12 @@ pub struct Ledger<D: AbstractDp, B: Budget = f64> {
 /// decimals by [`Dyadic`]'s `Display`) instead of a lossy `f64` cast.
 ///
 /// The rendered message names the budget **carrier** (so an operator can
-/// tell a strict exact refusal from a tolerant float one at a glance),
-/// the **shard** that ran dry for rejections raised by a
-/// [`ShardedLedger`](crate::ShardedLedger) shard, and the **principal**
-/// whose allowance refused for rejections raised by a
-/// [`BudgetRegistry`](crate::BudgetRegistry):
+/// tell a strict exact refusal from a tolerant float one at a glance) and,
+/// for rejections raised by a [`BudgetRegistry`](crate::BudgetRegistry),
+/// the **principal** whose allowance refused:
 ///
 /// ```text
 /// privacy budget exceeded: requested 0.5, remaining 0.25 [carrier: f64]
-/// privacy budget exceeded: requested 0.5, remaining 0 [carrier: dyadic, shard: 3]
 /// privacy budget exceeded: requested 0.5, remaining 0 [carrier: dyadic, principal: 42]
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -132,9 +129,6 @@ pub struct BudgetExceeded<B = f64> {
     /// Name of the budget carrier the refusing accountant meters in
     /// ([`Budget::NAME`]).
     pub carrier: &'static str,
-    /// The ledger shard that refused the charge, when the refusal came
-    /// from a sharded accountant; `None` for unsharded ledgers.
-    pub shard: Option<usize>,
     /// The principal whose per-user allowance refused the charge, when the
     /// refusal came from a [`BudgetRegistry`](crate::BudgetRegistry);
     /// `None` for global (non-per-principal) accountants.
@@ -142,22 +136,14 @@ pub struct BudgetExceeded<B = f64> {
 }
 
 impl<B: Budget> BudgetExceeded<B> {
-    /// A refusal from an unsharded accountant, stamped with `B`'s carrier
-    /// name.
+    /// A refusal stamped with `B`'s carrier name.
     pub fn new(requested: B, remaining: B) -> Self {
         BudgetExceeded {
             requested,
             remaining,
             carrier: B::NAME,
-            shard: None,
             principal: None,
         }
-    }
-
-    /// Returns this refusal attributed to a ledger shard.
-    pub fn at_shard(mut self, shard: usize) -> Self {
-        self.shard = Some(shard);
-        self
     }
 
     /// Returns this refusal attributed to a principal's per-user
@@ -175,9 +161,6 @@ impl<B: std::fmt::Display> std::fmt::Display for BudgetExceeded<B> {
             "privacy budget exceeded: requested {}, remaining {} [carrier: {}",
             self.requested, self.remaining, self.carrier
         )?;
-        if let Some(shard) = self.shard {
-            write!(f, ", shard: {shard}")?;
-        }
         if let Some(principal) = self.principal {
             write!(f, ", principal: {principal}")?;
         }
@@ -510,25 +493,6 @@ impl<B: Budget> RdpAccountant<B> {
         self.orders.iter().copied().zip(self.eps.iter())
     }
 
-    /// Merges another accountant's accumulated curve into this one —
-    /// per-order RDP totals are additive, so accumulating releases on
-    /// several accountants and merging is equivalent to accounting them
-    /// all on one (exactly so on exact carriers). This is the fold step of
-    /// [`ShardedRdpAccountant`](crate::ShardedRdpAccountant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two accountants use different order grids.
-    pub fn merge(&mut self, other: &RdpAccountant<B>) {
-        assert_eq!(
-            self.orders, other.orders,
-            "merging accountants over different order grids"
-        );
-        for (e, o) in self.eps.iter_mut().zip(&other.eps) {
-            *e = e.add(o);
-        }
-    }
-
     /// Converts to `(ε, δ)`-DP, returning the `ε` and the optimizing
     /// order: `ε = min_α [ε(α) + ln(1/δ)/(α−1)]`.
     ///
@@ -737,6 +701,10 @@ mod tests {
         let mut ledger: Ledger<PureDp> = Ledger::new(1.0);
         ledger.charge_batch("empty", 0.5, 0).unwrap();
         assert_eq!(ledger.spent(), 0.0);
+        // A zero budget admits only zero charges.
+        let mut dry: ExactLedger<PureDp> = Ledger::new(0.0);
+        dry.charge("free", 0.0).unwrap();
+        assert!(dry.charge("tiny", 1e-9).is_err());
     }
 
     /// `BudgetExceeded::remaining` must never report a negative budget:
@@ -794,9 +762,9 @@ mod tests {
 
     /// Pins the rejection message shape: operators triage refusals from
     /// logs, so the message must name the carrier that refused and — for
-    /// sharded refusals — the shard that ran dry.
+    /// registry refusals — the principal whose allowance ran dry.
     #[test]
-    fn budget_exceeded_message_names_carrier_and_shard() {
+    fn budget_exceeded_message_names_carrier_and_principal() {
         let mut f64_ledger: Ledger<PureDp> = Ledger::new(1.0);
         f64_ledger.charge("warmup", 0.75).unwrap();
         let err = f64_ledger.charge("big", 0.5).unwrap_err();
@@ -812,30 +780,13 @@ mod tests {
             "privacy budget exceeded: requested 1.5, remaining 1 [carrier: dyadic]"
         );
 
-        // Shard attribution renders inside the same bracket.
-        let err = BudgetExceeded::<f64>::new(0.5, 0.0).at_shard(3);
-        assert_eq!(
-            err.to_string(),
-            "privacy budget exceeded: requested 0.5, remaining 0 [carrier: f64, shard: 3]"
-        );
-        assert_eq!(err.shard, Some(3));
-
-        // Principal attribution renders after the shard (a registry
-        // refusal carries the principal; shard is usually absent).
+        // Principal attribution renders inside the same bracket.
         let err = BudgetExceeded::<f64>::new(0.5, 0.0).for_principal(42);
         assert_eq!(
             err.to_string(),
             "privacy budget exceeded: requested 0.5, remaining 0 [carrier: f64, principal: 42]"
         );
         assert_eq!(err.principal, Some(42));
-        let err = BudgetExceeded::<f64>::new(0.5, 0.0)
-            .at_shard(1)
-            .for_principal(7);
-        assert_eq!(
-            err.to_string(),
-            "privacy budget exceeded: requested 0.5, remaining 0 \
-             [carrier: f64, shard: 1, principal: 7]"
-        );
     }
 
     #[test]

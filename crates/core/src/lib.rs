@@ -49,7 +49,6 @@ mod private;
 mod query;
 mod registry;
 mod session;
-mod sharded;
 
 pub use abstract_dp::{AbstractDp, PureDp, RenyiDp, Zcdp};
 pub use accountant::{BudgetExceeded, ExactLedger, ExactRdpAccountant, Ledger, RdpAccountant};
@@ -73,11 +72,7 @@ pub use session::{
     AnswerForFuture, AnswerFuture, DurablePlan, Entropy, Executor, ExecutorFailure, IngressGauge,
     Inline, LedgerPlan, NoAccountant, NoExecutor, Planned, PrincipalAccountant, PrincipalAdmission,
     QueueFull, RdpCurve, RdpMeter, RdpPlan, RegistryPlan, Request, Session, SessionBuilder,
-    SessionError, ShardedExecutor, ShardedLedgerPlan, ShardedRdpMeter, ShardedRdpPlan,
-    SpawnExecutor,
-};
-pub use sharded::{
-    ExactShardedLedger, ShardHandle, ShardSpend, ShardedLedger, ShardedRdpAccountant,
+    SessionError, SpawnExecutor,
 };
 // Re-exported so exact-ledger users don't need a direct arith dependency.
 pub use sampcert_arith::Dyadic;

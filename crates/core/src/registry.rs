@@ -18,11 +18,9 @@
 //!
 //! Principals are hashed across `shards` independent mutexes (Fibonacci
 //! multiplicative hashing), so concurrent charges to *different*
-//! principals contend only when they collide on a shard — by contrast a
-//! [`ShardedLedger`](crate::ShardedLedger) shards one budget across
-//! workers, while the registry shards many budgets across locks. The two
-//! compose: the registry gates who may spend, the sharded ledger meters a
-//! global cap.
+//! principals contend only when they collide on a shard. One
+//! principal's allowance lives behind one lock, so its charges are
+//! serialized and exact.
 //!
 //! # Recovery hooks
 //!
@@ -460,7 +458,6 @@ mod tests {
         reg.charge(42, 0.75).unwrap();
         let err = reg.charge(42, 0.5).unwrap_err();
         assert_eq!(err.principal, Some(42));
-        assert_eq!(err.shard, None);
         assert!(err.to_string().contains("[carrier: dyadic, principal: 42]"));
         assert_eq!(reg.spent_exact(42), Dyadic::from_f64_ceil(0.75));
     }

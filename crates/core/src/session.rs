@@ -4,16 +4,15 @@
 //! The serving surface varies along three independent axes — batching
 //! (`run_many`/`run_batch`), exact carriers
 //! (`charge_exact`/[`ExactLedger`](crate::ExactLedger)) and concurrency
-//! ([`ShardedLedger`] over a pooled executor). A [`Session`] closes the
+//! (a pooled executor's draw lanes). A [`Session`] closes the
 //! configuration space behind a single builder:
 //!
 //! - the budget **carrier** (`f64` or exact
 //!   [`Dyadic`](sampcert_arith::Dyadic)) — [`SessionBuilder::exact`] /
 //!   [`SessionBuilder::carrier`];
-//! - the **accountant** (pure-notion [`Ledger`] or Rényi [`RdpMeter`],
-//!   each global or sharded) — [`SessionBuilder::ledger`],
-//!   [`SessionBuilder::sharded_ledger`], [`SessionBuilder::rdp`],
-//!   [`SessionBuilder::sharded_rdp`];
+//! - the **accountant** (pure-notion [`Ledger`], Rényi [`RdpMeter`], or
+//!   a per-principal registry) — [`SessionBuilder::ledger`],
+//!   [`SessionBuilder::rdp`], [`SessionBuilder::registry`];
 //! - the **executor** (the in-core single-lane [`Inline`], or any
 //!   [`SpawnExecutor`] such as `sampcert-rt`'s `RtExecutor` draw pool)
 //!   — [`SessionBuilder::inline`] / [`SessionBuilder::executor`];
@@ -27,43 +26,16 @@
 //! ([`Request::noise`]), any typed [`Private`] mechanism
 //! ([`Request::from_private`]), or the request constructors in
 //! `sampcert-mechanisms` (histogram, workload, SVT, count, mean). Every
-//! serve is **charge-before-serve**: a refused request releases nothing,
-//! and a global accountant's refusal touches no byte source at all (on a
-//! sharded accountant, lanes whose shard admitted its chunk have already
-//! advanced their streams before another shard refused — the drawn noise
-//! is discarded unreleased and the charge stays spent, the conservative
-//! direction). The released bytes are identical to the unmetered
-//! primitives' on the same streams (pinned by `tests/session_api.rs`).
-//!
-//! # The typestate guard
-//!
-//! Illegal combinations do not build. The accountant drives the executor
-//! through the [`Accountant`] trait, and sharded accountants only
-//! implement it for [`ShardedExecutor`]s — so a sharded ledger can never
-//! silently drop its shards onto a single-lane executor:
-//!
-//! ```compile_fail
-//! use sampcert_core::{PureDp, Session};
-//! // A sharded ledger over the single-lane inline executor: rejected at
-//! // compile time (no `Accountant` impl links the two).
-//! let _ = Session::<PureDp>::builder()
-//!     .sharded_ledger(1.0)
-//!     .inline()
-//!     .build();
-//! ```
-//!
-//! ```compile_fail
-//! use sampcert_core::{Session, Zcdp};
-//! // Sharded RDP accounting is equally inexpressible on a single lane.
-//! let _ = Session::<Zcdp>::builder()
-//!     .sharded_rdp(1e-6, 4.0)
-//!     .inline()
-//!     .build();
-//! ```
+//! serve is **charge-before-serve**: the accountant charges the whole
+//! batch (n answers × the request's price) once, and only then does the
+//! executor draw, on one lane or many. A refused request therefore
+//! spends nothing, releases nothing and touches no byte source. The
+//! released bytes are identical to the unmetered primitives' on the same
+//! streams (pinned by `tests/session_api.rs`).
 //!
 //! # Per-principal and durable sessions
 //!
-//! A fourth accountant choice, [`SessionBuilder::registry`], gives every
+//! The registry accountant, [`SessionBuilder::registry`], gives every
 //! *principal* (user id) its own allowance in a
 //! [`BudgetRegistry`](crate::BudgetRegistry); chaining
 //! [`SessionBuilder::durable`] puts a write-ahead charge journal
@@ -125,10 +97,9 @@
 //!   by a shared [`IngressGauge`]) is over the policy's depth bound —
 //!   backpressure under overload;
 //! - [`SessionError::Shed`]: the accountant's remaining budget (global
-//!   ledgers, per-principal registries) or
-//!   [`granted_upper_bound`](ShardedLedger::granted_upper_bound)
-//!   (sharded ledgers) says the request cannot be served — load shedding
-//!   keyed on the accounting state itself.
+//!   ledgers and meters, per-principal registries) says the request
+//!   cannot be served — load shedding keyed on the accounting state
+//!   itself.
 //!
 //! The **shed-before-charge invariant**: a shed or queue-full refusal
 //! spends nothing, journals nothing, releases nothing, and consumes no
@@ -173,7 +144,6 @@ use crate::noise::DpNoise;
 use crate::private::Private;
 use crate::query::Query;
 use crate::registry::BudgetRegistry;
-use crate::sharded::ShardedLedger;
 use sampcert_slang::{ByteSource, OsByteSource, SplitSeed, Value};
 use std::future::Future;
 use std::marker::PhantomData;
@@ -319,16 +289,14 @@ impl std::error::Error for QueueFull {}
 ///
 /// Every variant chains its cause through
 /// [`std::error::Error::source`], so `anyhow`-style error walks see the
-/// underlying [`BudgetExceeded`] (with its carrier and shard attribution),
+/// underlying [`BudgetExceeded`] (with its carrier and principal
+/// attribution),
 /// [`ExecutorFailure`], [`JournalError`], [`AdmissionShed`] or
 /// [`QueueFull`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionError<B: Budget = f64> {
-    /// The accountant refused the charge; nothing was released. Global
-    /// accountants consumed no entropy; on a sharded accountant, lanes
-    /// whose shard admitted its chunk advanced their streams before the
-    /// refusing shard was reached (the drawn noise is discarded, the
-    /// charge stays spent — conservative).
+    /// The accountant refused the charge; nothing was spent, released,
+    /// or drawn.
     Budget(BudgetExceeded<B>),
     /// The execution backend failed; any budget charged for the refused
     /// answers stays spent (the conservative direction).
@@ -344,9 +312,8 @@ pub enum SessionError<B: Budget = f64> {
     /// handles.
     Journal(JournalError),
     /// Admission control shed the request **before any charge was
-    /// attempted**: the accountant's remaining budget (or, sharded,
-    /// [`granted_upper_bound`](ShardedLedger::granted_upper_bound))
-    /// proves the request cannot be served. Nothing was spent, journaled,
+    /// attempted**: the accountant's remaining budget proves the request
+    /// cannot be served. Nothing was spent, journaled,
     /// or released — the shed-before-charge invariant. Only the async
     /// surface ([`Session::answer_async`]) sheds; the synchronous paths
     /// run the authoritative charge check directly.
@@ -501,18 +468,6 @@ pub trait Executor {
     /// from. `1` for [`Inline`]; the worker count for a pool.
     fn lanes(&self) -> usize;
 
-    /// How a batch of `n` answers is split across the lanes: lane `i`
-    /// serves `partition(n)[i]` answers, and
-    /// [`run_into`](Self::run_into) returns them concatenated in lane
-    /// order. The default is the contiguous-chunk rule
-    /// ([`lane_partition`]); a backend that schedules differently
-    /// (work-stealing, round-robin) **must** override this so per-lane
-    /// accounting ([`ShardedRdpMeter`]) attributes answers to the lanes
-    /// that actually serve them.
-    fn partition(&self, n: usize) -> Vec<usize> {
-        lane_partition(n, self.lanes())
-    }
-
     /// Draws `n` outputs of `mech` for `db`, appending them to `out` in
     /// lane order.
     ///
@@ -530,40 +485,6 @@ pub trait Executor {
     ) -> Result<(), ExecutorFailure>;
 }
 
-/// A multi-lane [`Executor`] whose lanes can each charge their own shard
-/// of a [`ShardedLedger`] *before* drawing — the charge-before-serve
-/// discipline, kept lock-free per lane.
-///
-/// This trait is the static link that makes a sharded accountant
-/// inexpressible on a single-lane executor: [`Accountant`] is only
-/// implemented for [`ShardedLedger`] (and [`ShardedRdpMeter`]) where the
-/// executor is a `ShardedExecutor`, and [`Inline`] deliberately does not
-/// implement it.
-pub trait ShardedExecutor: Executor {
-    /// Draws `n` outputs of `mech`, with lane `i` batch-charging
-    /// `chunkᵢ · units` releases of `gamma_unit` to shard `i` before
-    /// drawing a single byte of its chunk.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Budget`] with the first refusing shard (in shard
-    /// order) if any chunk does not fit — chunks whose charge succeeded
-    /// stay charged and their noise is discarded unreleased (the
-    /// conservative direction); [`SessionError::Executor`] if the backend
-    /// cannot serve (e.g. the ledger has fewer shards than lanes).
-    #[allow(clippy::too_many_arguments)]
-    fn run_sharded_into<D: AbstractDp, B: Budget, T: Sync + 'static, U: Value>(
-        &mut self,
-        mech: &Mechanism<T, U>,
-        db: &[T],
-        n: usize,
-        gamma_unit: f64,
-        units: u64,
-        ledger: &ShardedLedger<D, B>,
-        out: &mut Vec<U>,
-    ) -> Result<(), SessionError<B>>;
-}
-
 /// An [`Executor`] the session builder can construct itself, from the
 /// session's [`Entropy`] choice and a requested lane count — what lets
 /// `SessionBuilder::executor::<E>(lanes)` stay generic over backends the
@@ -572,7 +493,7 @@ pub trait SpawnExecutor: Executor + Sized {
     /// Builds the executor. `lanes` is a request, not a command: a
     /// backend may clamp it (e.g. [`Inline`] always has one lane); the
     /// builder reads the actual [`Executor::lanes`] back after spawning,
-    /// so sharded accountants always match the real lane count.
+    /// so a registry's lock shards match the real lane count.
     fn spawn(entropy: Entropy, lanes: usize) -> Self;
 }
 
@@ -888,120 +809,10 @@ impl<B: Budget> RdpMeter<B> {
     }
 }
 
-/// The sharded twin of [`RdpMeter`]: one per-lane [`RdpAccountant`]
-/// accumulator for attribution, plus an incrementally maintained session
-/// total for the policy check — the check stays O(grid) per charge, with
-/// no per-lane fold on the hot path. Per-order RDP totals are additive,
-/// so the running total equals the fold of the lane accumulators exactly
-/// on exact carriers (and to within f64 summation rounding on `f64`);
-/// [`ShardedRdpAccountant`](crate::ShardedRdpAccountant) remains the
-/// primitive for folding externally accumulated lanes.
-///
-/// Only usable with a [`ShardedExecutor`] (the [`Accountant`] impl
-/// requires it), so the per-lane curves always describe real lanes.
-#[derive(Debug, Clone)]
-pub struct ShardedRdpMeter<B: Budget = f64> {
-    parts: Vec<RdpAccountant<B>>,
-    total: RdpAccountant<B>,
-    delta: f64,
-    budget_eps: f64,
-}
-
-impl<B: Budget> ShardedRdpMeter<B> {
-    /// A sharded meter over the conventional order grid with one
-    /// accumulator per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta` is outside `(0, 1)`, `budget_eps` is negative or
-    /// not finite, or `lanes` is zero.
-    pub fn new(delta: f64, budget_eps: f64, lanes: usize) -> Self {
-        assert!(delta > 0.0 && delta < 1.0, "delta outside (0,1)");
-        assert!(
-            budget_eps.is_finite() && budget_eps >= 0.0,
-            "invalid epsilon budget"
-        );
-        let orders = RdpAccountant::default_order_grid();
-        let parts = (0..lanes)
-            .map(|_| RdpAccountant::with_orders(orders.clone()))
-            .collect();
-        ShardedRdpMeter {
-            parts,
-            total: RdpAccountant::with_orders(orders),
-            delta,
-            budget_eps,
-        }
-    }
-
-    /// The per-lane accumulators, in lane order.
-    pub fn lane_accountants(&self) -> &[RdpAccountant<B>] {
-        &self.parts
-    }
-
-    /// The whole-session accountant (maintained incrementally; equal to
-    /// folding [`lane_accountants`](Self::lane_accountants) — exactly on
-    /// exact carriers, to within f64 summation rounding otherwise).
-    pub fn folded(&self) -> RdpAccountant<B> {
-        self.total.clone()
-    }
-
-    /// The enforced `(budget_eps, delta)` policy.
-    pub fn policy(&self) -> (f64, f64) {
-        (self.budget_eps, self.delta)
-    }
-
-    /// The `(ε, optimizing α)` implied by the spending so far, at the
-    /// policy δ.
-    pub fn epsilon(&self) -> (f64, f64) {
-        self.total.epsilon(self.delta)
-    }
-
-    /// Admits `lane_counts[i] · units` releases of `gamma_unit` on lane
-    /// `i`'s accumulator if the post-charge ε fits the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane_counts` does not have exactly one entry per lane —
-    /// an executor whose [`Executor::partition`] override disagrees with
-    /// its lane count would otherwise be silently under-accounted, which
-    /// is a privacy-soundness violation and must fail loudly.
-    fn try_charge<D: RdpCurve>(
-        &mut self,
-        gamma_unit: f64,
-        units: u64,
-        lane_counts: &[usize],
-    ) -> Result<(), BudgetExceeded<B>> {
-        assert_eq!(
-            lane_counts.len(),
-            self.parts.len(),
-            "executor partition length disagrees with the meter's lane count"
-        );
-        let total_count: u64 = lane_counts.iter().map(|c| *c as u64 * units).sum();
-        let mut trial = self.total.clone();
-        trial.add_curve_n(|a| D::rdp_curve(gamma_unit, a), total_count);
-        let (eps, _) = trial.epsilon(self.delta);
-        if eps > self.budget_eps + 1e-12 {
-            let (current, _) = self.total.epsilon(self.delta);
-            return Err(BudgetExceeded::new(
-                B::charge_from_f64((eps - current).max(0.0)),
-                B::budget_from_f64((self.budget_eps - current).max(0.0)),
-            ));
-        }
-        self.total = trial;
-        for (part, count) in self.parts.iter_mut().zip(lane_counts) {
-            part.add_curve_n(|a| D::rdp_curve(gamma_unit, a), *count as u64 * units);
-        }
-        Ok(())
-    }
-}
-
-/// The default lane-partition rule of the executor contract
-/// ([`Executor::partition`]): `n` answers split into contiguous per-lane
-/// counts, the first `n % lanes` lanes one longer. Multi-lane backends
-/// (the `RtExecutor` draw pool) serve by exactly this rule; per-lane
-/// accounting ([`ShardedRdpMeter`]) attributes answers through
-/// [`Executor::partition`], so a backend that partitions differently
-/// overrides that method and attribution follows it.
+/// The lane-partition rule of the pooled draw plane: `n` answers split
+/// into contiguous per-lane counts, the first `n % lanes` lanes one
+/// longer. The `RtExecutor` draw pool serves by exactly this rule, which
+/// is what makes a pooled batch equal a per-lane sequential replay.
 pub fn lane_partition(n: usize, lanes: usize) -> Vec<usize> {
     let base = n / lanes;
     let rem = n % lanes;
@@ -1122,14 +933,9 @@ impl AdmissionPolicy {
 /// can a batch totalling `units` releases of `gamma_unit` possibly be
 /// admitted right now?
 ///
-/// The contract is conservative in the *shedding* direction each
-/// accountant documents: `false` means the accounting state already
-/// proves the charge would be refused (global accountants) or that the
-/// granted upper bound leaves no headroom (sharded accountants, where
-/// outstanding grants may make the probe shed a request a lucky charge
-/// would have served — the right trade under overload). `true` is
-/// advisory only — the authoritative charge check still runs at serve
-/// time, so a probe race never over-spends.
+/// `false` means the accounting state already proves the charge would be
+/// refused. `true` is advisory only — the authoritative charge check
+/// still runs at serve time, so a probe race never over-spends.
 pub trait Admission<D: AbstractDp, B: Budget> {
     /// Whether a batch of `units` releases of `gamma_unit` could be
     /// admitted against the current accounting state.
@@ -1152,30 +958,6 @@ impl<D: RdpCurve, B: Budget> Admission<D, B> for RdpMeter<B> {
     /// runs, against a clone.
     fn can_admit(&self, gamma_unit: f64, units: u64) -> bool {
         let mut trial = self.acct.clone();
-        trial.add_curve_n(|a| D::rdp_curve(gamma_unit, a), units);
-        let (eps, _) = trial.epsilon(self.delta);
-        eps <= self.budget_eps + 1e-12
-    }
-}
-
-impl<D: AbstractDp, B: Budget> Admission<D, B> for ShardedLedger<D, B> {
-    /// Sheds when
-    /// [`granted_upper_bound`](ShardedLedger::granted_upper_bound) plus
-    /// the batch total exceeds the budget. The upper bound counts
-    /// granted-but-unspent headroom as spent, so under load this sheds
-    /// *earlier* than the per-shard charges would refuse — conservative
-    /// in the shedding direction, never in the spending direction.
-    fn can_admit(&self, gamma_unit: f64, units: u64) -> bool {
-        let total = D::compose_n(gamma_unit, units);
-        self.granted_upper_bound() + total <= self.budget().to_f64() + 1e-12
-    }
-}
-
-impl<D: RdpCurve, B: Budget> Admission<D, B> for ShardedRdpMeter<B> {
-    /// Sheds when a trial composition of the batch onto the maintained
-    /// session total converts to an ε over the policy budget.
-    fn can_admit(&self, gamma_unit: f64, units: u64) -> bool {
-        let mut trial = self.total.clone();
         trial.add_curve_n(|a| D::rdp_curve(gamma_unit, a), units);
         let (eps, _) = trial.epsilon(self.delta);
         eps <= self.budget_eps + 1e-12
@@ -1219,28 +1001,22 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> PrincipalAdmission<D, B>
 }
 
 // ---------------------------------------------------------------------------
-// The accountant ↔ executor link
+// Charge, then draw
 // ---------------------------------------------------------------------------
 
-/// The charge-then-serve step, linking an accountant to the executors it
-/// can legally drive. This is the typestate guard: global accountants
-/// ([`Ledger`], [`RdpMeter`]) drive any [`Executor`]; sharded accountants
-/// ([`ShardedLedger`], [`ShardedRdpMeter`]) only implement this trait for
-/// [`ShardedExecutor`]s, so pairing them with [`Inline`] is a compile
-/// error, not a silent single-shard session.
-pub trait Accountant<D: AbstractDp, B: Budget, E: Executor> {
+/// The charge-then-serve step of a global accountant ([`Ledger`],
+/// [`RdpMeter`]): one charge for the whole batch, then one
+/// [`Executor::run_into`] on whatever executor the session holds.
+pub trait Accountant<D: AbstractDp, B: Budget> {
     /// Charges `n` answers of `req` and, only if the whole batch fits,
-    /// serves them through `exec` into `out`. A refusal releases nothing
-    /// and leaves `out` untouched; global accountants also consume no
-    /// entropy (sharded accountants may have advanced the streams of
-    /// lanes whose shard admitted its chunk — see
-    /// [`SessionError::Budget`]).
+    /// serves them through `exec` into `out`. A refusal spends nothing,
+    /// releases nothing, consumes no entropy, and leaves `out` untouched.
     ///
     /// # Errors
     ///
     /// [`SessionError::Budget`] when the batch does not fit,
     /// [`SessionError::Executor`] when the backend cannot serve.
-    fn serve_into<T: Sync + 'static, U: Value>(
+    fn serve_into<E: Executor, T: Sync + 'static, U: Value>(
         &mut self,
         exec: &mut E,
         req: &Request<D, T, U>,
@@ -1250,8 +1026,8 @@ pub trait Accountant<D: AbstractDp, B: Budget, E: Executor> {
     ) -> Result<(), SessionError<B>>;
 }
 
-impl<D: AbstractDp, B: Budget, E: Executor> Accountant<D, B, E> for Ledger<D, B> {
-    fn serve_into<T: Sync + 'static, U: Value>(
+impl<D: AbstractDp, B: Budget> Accountant<D, B> for Ledger<D, B> {
+    fn serve_into<E: Executor, T: Sync + 'static, U: Value>(
         &mut self,
         exec: &mut E,
         req: &Request<D, T, U>,
@@ -1265,8 +1041,8 @@ impl<D: AbstractDp, B: Budget, E: Executor> Accountant<D, B, E> for Ledger<D, B>
     }
 }
 
-impl<D: RdpCurve, B: Budget, E: Executor> Accountant<D, B, E> for RdpMeter<B> {
-    fn serve_into<T: Sync + 'static, U: Value>(
+impl<D: RdpCurve, B: Budget> Accountant<D, B> for RdpMeter<B> {
+    fn serve_into<E: Executor, T: Sync + 'static, U: Value>(
         &mut self,
         exec: &mut E,
         req: &Request<D, T, U>,
@@ -1280,52 +1056,14 @@ impl<D: RdpCurve, B: Budget, E: Executor> Accountant<D, B, E> for RdpMeter<B> {
     }
 }
 
-impl<D: AbstractDp, B: Budget, E: ShardedExecutor> Accountant<D, B, E> for ShardedLedger<D, B> {
-    fn serve_into<T: Sync + 'static, U: Value>(
-        &mut self,
-        exec: &mut E,
-        req: &Request<D, T, U>,
-        db: &[T],
-        n: usize,
-        out: &mut Vec<U>,
-    ) -> Result<(), SessionError<B>> {
-        exec.run_sharded_into(
-            req.mechanism(),
-            db,
-            n,
-            req.gamma_unit(),
-            req.units(),
-            self,
-            out,
-        )
-    }
-}
-
-impl<D: RdpCurve, B: Budget, E: ShardedExecutor> Accountant<D, B, E> for ShardedRdpMeter<B> {
-    fn serve_into<T: Sync + 'static, U: Value>(
-        &mut self,
-        exec: &mut E,
-        req: &Request<D, T, U>,
-        db: &[T],
-        n: usize,
-        out: &mut Vec<U>,
-    ) -> Result<(), SessionError<B>> {
-        let counts = exec.partition(n);
-        self.try_charge::<D>(req.gamma_unit(), req.units(), &counts)?;
-        exec.run_into(req.mechanism(), db, n, out)?;
-        Ok(())
-    }
-}
-
 /// The per-principal twin of [`Accountant`]: charge-then-serve where the
 /// charge lands on one principal's allowance inside a
 /// [`BudgetRegistry`] (in-memory) or [`DurableRegistry`] (write-ahead
-/// journaled). The typestate guard works the same way: per-principal
-/// sessions are built with [`SessionBuilder::build_per_principal`] and
-/// serve through [`Session::answer_for`] — the principal-less
-/// [`Session::answer`] does not exist on them (no [`Accountant`] impl),
-/// and vice versa.
-pub trait PrincipalAccountant<D: AbstractDp, B: Budget, E: Executor> {
+/// journaled). Per-principal sessions are built with
+/// [`SessionBuilder::build_per_principal`] and serve through
+/// [`Session::answer_for`] — the principal-less [`Session::answer`] does
+/// not exist on them (no [`Accountant`] impl), and vice versa.
+pub trait PrincipalAccountant<D: AbstractDp, B: Budget> {
     /// Charges `n` answers of `req` to `principal` and, only if the whole
     /// batch fits (and, for durable registries, only once the charge is
     /// durably journaled), serves them through `exec` into `out`. A
@@ -1337,7 +1075,7 @@ pub trait PrincipalAccountant<D: AbstractDp, B: Budget, E: Executor> {
     /// principal's allowance, [`SessionError::Journal`] when a durable
     /// registry cannot journal the charge (degrade-to-reject),
     /// [`SessionError::Executor`] when the backend cannot serve.
-    fn serve_for_into<T: Sync + 'static, U: Value>(
+    fn serve_for_into<E: Executor, T: Sync + 'static, U: Value>(
         &mut self,
         exec: &mut E,
         principal: u64,
@@ -1348,8 +1086,8 @@ pub trait PrincipalAccountant<D: AbstractDp, B: Budget, E: Executor> {
     ) -> Result<(), SessionError<B>>;
 }
 
-impl<D: AbstractDp, B: Budget, E: Executor> PrincipalAccountant<D, B, E> for BudgetRegistry<D, B> {
-    fn serve_for_into<T: Sync + 'static, U: Value>(
+impl<D: AbstractDp, B: Budget> PrincipalAccountant<D, B> for BudgetRegistry<D, B> {
+    fn serve_for_into<E: Executor, T: Sync + 'static, U: Value>(
         &mut self,
         exec: &mut E,
         principal: u64,
@@ -1364,10 +1102,10 @@ impl<D: AbstractDp, B: Budget, E: Executor> PrincipalAccountant<D, B, E> for Bud
     }
 }
 
-impl<D: AbstractDp, B: Budget, E: Executor, S: JournalStorage> PrincipalAccountant<D, B, E>
+impl<D: AbstractDp, B: Budget, S: JournalStorage> PrincipalAccountant<D, B>
     for DurableRegistry<D, B, S>
 {
-    fn serve_for_into<T: Sync + 'static, U: Value>(
+    fn serve_for_into<E: Executor, T: Sync + 'static, U: Value>(
         &mut self,
         exec: &mut E,
         principal: u64,
@@ -1407,8 +1145,8 @@ pub struct Planned<E> {
 
 /// A deferred accountant choice: built only at
 /// [`SessionBuilder::build`] time, when the executor's actual lane count
-/// is known — which is how a sharded ledger's shard count always equals
-/// the pool's worker count without the caller wiring either.
+/// is known — which is how a registry's lock-shard count follows the
+/// pool's worker count without the caller wiring either.
 pub trait AccountantPlan<D: AbstractDp, B: Budget> {
     /// The accountant this plan builds.
     type Built;
@@ -1429,20 +1167,6 @@ impl<D: AbstractDp, B: Budget> AccountantPlan<D, B> for LedgerPlan<B> {
     }
 }
 
-/// Plan for a [`ShardedLedger`] with one shard per executor lane (see
-/// [`SessionBuilder::sharded_ledger`]).
-#[derive(Debug, Clone)]
-pub struct ShardedLedgerPlan<B: Budget> {
-    budget: B,
-}
-
-impl<D: AbstractDp, B: Budget> AccountantPlan<D, B> for ShardedLedgerPlan<B> {
-    type Built = ShardedLedger<D, B>;
-    fn build_accountant(self, lanes: usize) -> ShardedLedger<D, B> {
-        ShardedLedger::with_budget(self.budget, lanes)
-    }
-}
-
 /// Plan for a global [`RdpMeter`] (see [`SessionBuilder::rdp`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RdpPlan {
@@ -1454,21 +1178,6 @@ impl<D: AbstractDp, B: Budget> AccountantPlan<D, B> for RdpPlan {
     type Built = RdpMeter<B>;
     fn build_accountant(self, _lanes: usize) -> RdpMeter<B> {
         RdpMeter::new(self.delta, self.budget_eps)
-    }
-}
-
-/// Plan for a [`ShardedRdpMeter`] with one accumulator per executor lane
-/// (see [`SessionBuilder::sharded_rdp`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedRdpPlan {
-    delta: f64,
-    budget_eps: f64,
-}
-
-impl<D: AbstractDp, B: Budget> AccountantPlan<D, B> for ShardedRdpPlan {
-    type Built = ShardedRdpMeter<B>;
-    fn build_accountant(self, lanes: usize) -> ShardedRdpMeter<B> {
-        ShardedRdpMeter::new(self.delta, self.budget_eps, lanes)
     }
 }
 
@@ -1524,7 +1233,7 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> AccountantPlan<D, B> for Durab
 /// Type parameters track the choices made so far: `B` the budget carrier,
 /// `A` the accountant plan (or [`NoAccountant`]), `X` the executor choice
 /// (or [`NoExecutor`]). [`build`](Self::build) only exists once an
-/// accountant and an executor are chosen **and** the pair is legal.
+/// accountant and an executor are chosen.
 #[derive(Debug)]
 pub struct SessionBuilder<D: AbstractDp, B: Budget = f64, A = NoAccountant, X = NoExecutor> {
     accountant: A,
@@ -1623,41 +1332,11 @@ impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, NoAccountant, X> {
         self.with_accountant(LedgerPlan { budget })
     }
 
-    /// A [`ShardedLedger`] with one shard per executor lane. Requires a
-    /// [`ShardedExecutor`] — pairing with [`inline`](Self::inline) is a
-    /// compile error (see the module-level docs above).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is negative or not finite.
-    pub fn sharded_ledger(self, budget: f64) -> SessionBuilder<D, B, ShardedLedgerPlan<B>, X> {
-        assert!(budget.is_finite() && budget >= 0.0, "invalid budget");
-        self.sharded_ledger_exact(B::budget_from_f64(budget))
-    }
-
-    /// [`sharded_ledger`](Self::sharded_ledger) with the budget already
-    /// in the carrier.
-    pub fn sharded_ledger_exact(self, budget: B) -> SessionBuilder<D, B, ShardedLedgerPlan<B>, X> {
-        assert!(budget.is_valid(), "invalid budget");
-        self.with_accountant(ShardedLedgerPlan { budget })
-    }
-
     /// A global [`RdpMeter`] enforcing `ε ≤ budget_eps` at `delta`.
     /// Requires the notion to have a full Rényi curve ([`RdpCurve`]:
     /// [`PureDp`] or [`Zcdp`]).
     pub fn rdp(self, delta: f64, budget_eps: f64) -> SessionBuilder<D, B, RdpPlan, X> {
         self.with_accountant(RdpPlan { delta, budget_eps })
-    }
-
-    /// A [`ShardedRdpMeter`] with one accumulator per executor lane;
-    /// requires a [`ShardedExecutor`], like
-    /// [`sharded_ledger`](Self::sharded_ledger).
-    pub fn sharded_rdp(
-        self,
-        delta: f64,
-        budget_eps: f64,
-    ) -> SessionBuilder<D, B, ShardedRdpPlan, X> {
-        self.with_accountant(ShardedRdpPlan { delta, budget_eps })
     }
 
     /// A per-principal [`BudgetRegistry`]: every principal (user id)
@@ -1774,11 +1453,12 @@ impl<D: AbstractDp, B: Budget, P, E> SessionBuilder<D, B, P, Planned<E>>
 where
     P: AccountantPlan<D, B>,
     E: SpawnExecutor,
-    P::Built: Accountant<D, B, E>,
+    P::Built: Accountant<D, B>,
 {
     /// Spawns the executor, sizes the accountant to its actual lane
-    /// count, and returns the ready session. Only defined for legal
-    /// accountant × executor pairs — illegal pairs fail to compile.
+    /// count, and returns the ready session. Only defined for global
+    /// accountants; per-principal ones build with
+    /// [`build_per_principal`](Self::build_per_principal).
     pub fn build(self) -> Session<D, B, P::Built, E> {
         let executor = E::spawn(self.entropy, self.executor.lanes);
         let lanes = executor.lanes();
@@ -1797,7 +1477,7 @@ impl<D: AbstractDp, B: Budget, P, E> SessionBuilder<D, B, P, Planned<E>>
 where
     P: AccountantPlan<D, B>,
     E: SpawnExecutor,
-    P::Built: PrincipalAccountant<D, B, E>,
+    P::Built: PrincipalAccountant<D, B>,
 {
     /// [`build`](Self::build) for per-principal sessions
     /// ([`SessionBuilder::registry`] / [`SessionBuilder::durable`]):
@@ -1908,15 +1588,15 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
     ///
     /// # Errors
     ///
-    /// See [`Accountant::serve_into`]; a refusal releases nothing (and,
-    /// on global accountants, consumes no entropy).
+    /// See [`Accountant::serve_into`]; a refusal spends nothing,
+    /// releases nothing and consumes no entropy.
     pub fn answer<T: Sync + 'static, U: Value>(
         &mut self,
         req: &Request<D, T, U>,
         db: &[T],
     ) -> Result<U, SessionError<B>>
     where
-        A: Accountant<D, B, E>,
+        A: Accountant<D, B>,
     {
         let mut out = Vec::with_capacity(1);
         self.accountant
@@ -1932,9 +1612,8 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
     ///
     /// # Errors
     ///
-    /// See [`Accountant::serve_into`]. All-or-nothing on global
-    /// accountants; on sharded accountants the first refusing shard wins
-    /// and already-charged chunks stay charged (conservative).
+    /// See [`Accountant::serve_into`]. All-or-nothing: the batch is one
+    /// charge.
     pub fn answer_many<T: Sync + 'static, U: Value>(
         &mut self,
         req: &Request<D, T, U>,
@@ -1942,7 +1621,7 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         n: usize,
     ) -> Result<Vec<U>, SessionError<B>>
     where
-        A: Accountant<D, B, E>,
+        A: Accountant<D, B>,
     {
         let mut out = Vec::with_capacity(n);
         self.accountant
@@ -1965,7 +1644,7 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         out: &mut Vec<U>,
     ) -> Result<(), SessionError<B>>
     where
-        A: Accountant<D, B, E>,
+        A: Accountant<D, B>,
     {
         self.accountant
             .serve_into(&mut self.executor, req, db, n, out)
@@ -1986,7 +1665,7 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         db: &[T],
     ) -> Result<U, SessionError<B>>
     where
-        A: PrincipalAccountant<D, B, E>,
+        A: PrincipalAccountant<D, B>,
     {
         let mut out = Vec::with_capacity(1);
         self.accountant
@@ -2011,7 +1690,7 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         n: usize,
     ) -> Result<Vec<U>, SessionError<B>>
     where
-        A: PrincipalAccountant<D, B, E>,
+        A: PrincipalAccountant<D, B>,
     {
         let mut out = Vec::with_capacity(n);
         self.accountant
@@ -2034,7 +1713,7 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         out: &mut Vec<U>,
     ) -> Result<(), SessionError<B>>
     where
-        A: PrincipalAccountant<D, B, E>,
+        A: PrincipalAccountant<D, B>,
     {
         self.accountant
             .serve_for_into(&mut self.executor, principal, req, db, n, out)
@@ -2061,7 +1740,7 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         db: &'a [T],
     ) -> AnswerFuture<'a, D, B, A, E, T, U>
     where
-        A: Accountant<D, B, E> + Admission<D, B>,
+        A: Accountant<D, B> + Admission<D, B>,
     {
         let servable = !self.admission.sheds_unservable()
             || self.accountant.can_admit(req.gamma_unit(), req.units());
@@ -2088,7 +1767,7 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         db: &'a [T],
     ) -> AnswerForFuture<'a, D, B, A, E, T, U>
     where
-        A: PrincipalAccountant<D, B, E> + PrincipalAdmission<D, B>,
+        A: PrincipalAccountant<D, B> + PrincipalAdmission<D, B>,
     {
         let servable = !self.admission.sheds_unservable()
             || self
@@ -2136,7 +1815,7 @@ impl<D: AbstractDp, B: Budget, A, E, T, U: Value> Unpin for AnswerFuture<'_, D, 
 impl<D: AbstractDp, B: Budget, A, E, T, U> Future for AnswerFuture<'_, D, B, A, E, T, U>
 where
     E: Executor,
-    A: Accountant<D, B, E>,
+    A: Accountant<D, B>,
     T: Sync + 'static,
     U: Value,
 {
@@ -2175,7 +1854,7 @@ impl<D: AbstractDp, B: Budget, A, E, T, U: Value> Unpin for AnswerForFuture<'_, 
 impl<D: AbstractDp, B: Budget, A, E, T, U> Future for AnswerForFuture<'_, D, B, A, E, T, U>
 where
     E: Executor,
-    A: PrincipalAccountant<D, B, E>,
+    A: PrincipalAccountant<D, B>,
     T: Sync + 'static,
     U: Value,
 {
@@ -2449,16 +2128,6 @@ mod tests {
         assert_eq!(s.accountant().spent_exact(1), Dyadic::from(1u64));
         // Principal 2's allowance is independent.
         poll_once(s.answer_for_async(2, &req, &[1u8])).unwrap();
-    }
-
-    #[test]
-    fn sharded_admission_keys_on_granted_upper_bound() {
-        let ledger = ShardedLedger::<PureDp>::new(1.0, 4);
-        // A fresh sharded ledger has granted headroom but no spend; a
-        // batch that fits the budget is admissible, one that cannot fit
-        // is not.
-        assert!(Admission::<PureDp, f64>::can_admit(&ledger, 0.25, 2));
-        assert!(!Admission::<PureDp, f64>::can_admit(&ledger, 0.3, 4));
     }
 
     #[test]

@@ -23,10 +23,9 @@
 //!   backlog.
 //! - [`RtExecutor`] — the draw-plane backend: fixed contiguous lanes
 //!   with persistent per-lane byte streams, implementing the core
-//!   `Executor`/`ShardedExecutor`/`SpawnExecutor` traits. The draw
-//!   plane does **not** steal (see [`pool`]) — determinism and per-lane
-//!   accounting pin each chunk to its lane; elasticity lives in the
-//!   runtime above.
+//!   `Executor`/`SpawnExecutor` traits. The draw plane does **not**
+//!   steal (see [`pool`]) — determinism pins each chunk to its lane;
+//!   elasticity lives in the runtime above.
 //!
 //! ## The shed-before-charge invariant
 //!

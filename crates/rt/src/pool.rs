@@ -12,21 +12,19 @@
 //!   serves chunk `i` from its own persistent byte stream
 //!   (`root.stream(i)` under [`Entropy::Seeded`]).
 //!
-//! Stealing on the draw plane would be wrong twice over: it would break
-//! the byte-stream determinism contract (which stream an answer came
-//! from must be a function of the request, not the scheduler), and it
-//! would falsify per-lane accounting — [`Executor::partition`] is the
-//! basis on which a sharded accountant attributes charges to lanes, so
-//! the lanes must actually serve those chunks. An `RtExecutor` batch is
-//! therefore stream-for-stream identical to a per-lane sequential replay
-//! — lane `i`'s chunk drawn by [`Mechanism::run_many_into`] from
+//! Stealing on the draw plane would break the byte-stream determinism
+//! contract: which stream an answer came from must be a function of the
+//! request, not the scheduler. An `RtExecutor` batch is therefore
+//! stream-for-stream identical to a per-lane sequential replay — lane
+//! `i`'s chunk drawn by [`Mechanism::run_many_into`] from
 //! `root.stream(i)` (pinned by this crate's integration tests) — and all
 //! elasticity lives one level up, in the runtime's task scheduler.
+//!
+//! The executor only draws. The session's accountant charges the whole
+//! batch before [`Executor::run_into`] is called, so a refused request
+//! never reaches a lane.
 
-use sampcert_core::{
-    AbstractDp, Budget, Entropy, Executor, ExecutorFailure, Mechanism, SessionError,
-    ShardedExecutor, ShardedLedger, SpawnExecutor,
-};
+use sampcert_core::{Entropy, Executor, ExecutorFailure, Mechanism, SpawnExecutor};
 use sampcert_slang::{ByteSource, OsByteSource, Value};
 
 /// One draw lane: a persistent byte stream owned by this executor and
@@ -121,50 +119,6 @@ impl Executor for RtExecutor {
     }
 }
 
-/// Charge-before-serve per lane: lane `i` batch-charges shard `i`
-/// (`chunkᵢ · units` releases of `gamma_unit`) before drawing a byte,
-/// and every verdict is collected before anything is released.
-impl ShardedExecutor for RtExecutor {
-    fn run_sharded_into<D: AbstractDp, B: Budget, T: Sync + 'static, U: Value>(
-        &mut self,
-        mech: &Mechanism<T, U>,
-        db: &[T],
-        n: usize,
-        gamma_unit: f64,
-        units: u64,
-        ledger: &ShardedLedger<D, B>,
-        out: &mut Vec<U>,
-    ) -> Result<(), SessionError<B>> {
-        if ledger.shards() < self.lanes.len() {
-            return Err(SessionError::Executor(ExecutorFailure::new(format!(
-                "ledger has {} shards but the executor has {} lanes",
-                ledger.shards(),
-                self.lanes.len()
-            ))));
-        }
-        let chunks = sampcert_core::lane_partition(n, self.lanes.len());
-        let parts = self.fan_out(|i, lane| {
-            let mut handle = ledger.handle(i);
-            handle.charge_batch(gamma_unit, chunks[i] as u64 * units)?;
-            let mut part = Vec::new();
-            mech.run_many_into(db, chunks[i], &mut *lane.src, &mut part);
-            Ok(part)
-        });
-        // Collect every shard's verdict before touching `out`: a refusing
-        // shard discards the other chunks unreleased (their charges stay
-        // spent — the conservative direction) and leaves the caller's
-        // buffer untouched.
-        let served: Vec<Vec<U>> = parts
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .map_err(SessionError::Budget)?;
-        for part in served {
-            out.extend(part);
-        }
-        Ok(())
-    }
-}
-
 /// Lets `SessionBuilder::executor::<RtExecutor>(lanes)` spawn the draw
 /// pool straight from the session's entropy choice.
 impl SpawnExecutor for RtExecutor {
@@ -176,7 +130,7 @@ impl SpawnExecutor for RtExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sampcert_core::{count_query, DpNoise, ExactShardedLedger, Zcdp};
+    use sampcert_core::{count_query, DpNoise, Zcdp};
     use sampcert_slang::SplitSeed;
 
     #[test]
@@ -185,7 +139,6 @@ mod tests {
         assert_eq!(ex.lanes(), 1);
         let ex = RtExecutor::new(Entropy::Seeded(SplitSeed::new(7)), 4);
         assert_eq!(ex.lanes(), 4);
-        assert_eq!(ex.partition(10), vec![3, 3, 2, 2]);
     }
 
     #[test]
@@ -206,24 +159,5 @@ mod tests {
         let second = serve(&mut a);
         assert_ne!(first, second);
         assert_eq!(second, serve(&mut b));
-    }
-
-    #[test]
-    fn partial_shard_refusal_releases_nothing() {
-        let mech = Zcdp::noise(&count_query::<u8>(), 1, 2);
-        let gamma = Zcdp::noise_priv(1, 2);
-        // Budget 1.5 over 2 lanes, 16 answers at ρ = 1/8: each chunk costs
-        // 1, so exactly one shard's charge fits — the other must refuse,
-        // whatever the thread interleaving.
-        let ledger: ExactShardedLedger<Zcdp> = ShardedLedger::new(1.5, 2);
-        let mut ex = RtExecutor::new(Entropy::seeded(6), 2);
-        let mut out = vec![99];
-        let err = ex
-            .run_sharded_into(&mech, &[0u8; 5], 16, gamma, 1, &ledger, &mut out)
-            .unwrap_err();
-        assert!(err.as_budget().expect("budget refusal").shard.is_some());
-        assert_eq!(out, vec![99], "a refused batch touched the buffer");
-        // The winning shard's charge stays spent: the conservative side.
-        assert_eq!(ledger.unallocated(), 0.5);
     }
 }

@@ -4,7 +4,7 @@
 
 use sampcert_core::{
     count_query, lane_partition, AdmissionPolicy, Entropy, Executor, Inline, Mechanism, Private,
-    PureDp, Request, Session, ShardedExecutor, ShardedLedger,
+    PureDp, Request, Session,
 };
 use sampcert_rt::{block_on, Ingress, RtExecutor, Runtime};
 use sampcert_slang::{SeededByteSource, SplitSeed, Value};
@@ -48,9 +48,9 @@ impl LaneReplay {
 }
 
 /// The draw plane is scheduling only: for every lane count and every
-/// batch size around the partition boundaries, both `run_into` and the
-/// charge-before-serve `run_sharded_into` release exactly the per-lane
-/// sequential replay — and a second batch continues each lane's stream.
+/// batch size around the partition boundaries, `run_into` releases
+/// exactly the per-lane sequential replay — and a second batch continues
+/// each lane's stream.
 #[test]
 fn rt_executor_equals_per_lane_sequential_replay() {
     let req = count_request();
@@ -59,20 +59,11 @@ fn rt_executor_equals_per_lane_sequential_replay() {
         for n in (1..=8).chain([16, 33]) {
             let mut replay = LaneReplay::new(ROOT, lanes);
             let mut plain = RtExecutor::new(Entropy::seeded(ROOT), lanes);
-            let mut sharded = RtExecutor::new(Entropy::seeded(ROOT), lanes);
-            let ledger: ShardedLedger<PureDp> = ShardedLedger::new(1e6, lanes);
             for batch in 0..2 {
                 let expect = replay.serve(req.mechanism(), &db, n);
-                let (mut a, mut b) = (Vec::new(), Vec::new());
+                let mut a = Vec::new();
                 plain.run_into(req.mechanism(), &db, n, &mut a).unwrap();
-                sharded
-                    .run_sharded_into(req.mechanism(), &db, n, 1.0, 1, &ledger, &mut b)
-                    .unwrap();
                 assert_eq!(a, expect, "run_into: lanes {lanes}, n {n}, batch {batch}");
-                assert_eq!(
-                    b, expect,
-                    "run_sharded_into: lanes {lanes}, n {n}, batch {batch}"
-                );
             }
         }
     }

@@ -30,10 +30,12 @@
 //!
 //! Serving goes through one composable surface: a [`Session`] built by
 //! choosing the budget carrier (`f64` or exact dyadic), the accountant
-//! (ledger or Rényi meter, global or sharded), the executor (inline or the
-//! [`rt::RtExecutor`] draw pool) and the entropy backend (OS or a replayable
-//! split seed) — then answering [`Request`]s. Illegal combinations (a
-//! sharded accountant on a single-lane executor) do not compile.
+//! (ledger, Rényi meter, or per-principal registry), the executor (inline
+//! or the [`rt::RtExecutor`] draw pool) and the entropy backend (OS or a
+//! replayable split seed) — then answering [`Request`]s. Every serve
+//! charges the whole batch once and only then draws, so a refusal spends
+//! and draws nothing. A principal-less `answer` on a per-principal
+//! session does not compile.
 //!
 //! ```
 //! use sampcert::core::{count_query, CheckOptions, Private, PureDp, Request, Session};

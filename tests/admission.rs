@@ -259,7 +259,7 @@ fn queue_full_is_deterministic_under_a_seeded_schedule() {
 fn answer_async_equals_answer_for_every_builder_chain() {
     // `$chain` is the builder method chain; `$state` is a method chain
     // on the accountant extracting whatever accounting state that chain
-    // exposes (spend, exact spend, RDP curve, unallocated reserve).
+    // exposes (spend, exact spend, RDP ε).
     macro_rules! pair {
         (($($chain:tt)*), ($($state:tt)*)) => {{
             let mut sync_s = Session::<PureDp>::builder().$($chain)*.build();
@@ -287,23 +287,15 @@ fn answer_async_equals_answer_for_every_builder_chain() {
         (exact().ledger(1e6).executor::<RtExecutor>(2).seeded(3)),
         (spent_exact())
     );
-    // RDP meters, global and sharded.
+    // RDP meters, inline and pooled.
     pair!((rdp(1e-6, 1e6).inline().seeded(3)), (epsilon()));
     pair!(
-        (sharded_rdp(1e-6, 1e6).executor::<RtExecutor>(2).seeded(3)),
+        (rdp(1e-6, 1e6).executor::<RtExecutor>(2).seeded(3)),
         (epsilon())
     );
-    // Sharded ledgers, both carriers.
     pair!(
-        (sharded_ledger(1e6).executor::<RtExecutor>(2).seeded(3)),
-        (unallocated())
-    );
-    pair!(
-        (exact()
-            .sharded_ledger(1e6)
-            .executor::<RtExecutor>(2)
-            .seeded(3)),
-        (unallocated_exact())
+        (exact().rdp(1e-6, 1e6).executor::<RtExecutor>(3).seeded(3)),
+        (epsilon())
     );
     // With admission machinery attached (open policy, generous bound):
     // the gate passes and must not perturb bytes or charges.

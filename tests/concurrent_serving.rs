@@ -1,26 +1,26 @@
-//! Concurrency suite: sharded accounting is conservative under real
-//! interleavings, and deterministic per-worker streams are independent
-//! and replayable.
+//! Concurrency suite: exact per-principal accounting is conservative
+//! under real interleavings, and deterministic per-worker streams are
+//! independent and replayable.
 //!
-//! The sharded ledger's claim (see `sampcert-core`'s `sharded` module
-//! docs) is that **no interleaving of charges, rebalances and handle
-//! drops can make the shards jointly spend more than the global budget**,
-//! with the inequality exact on the dyadic carrier. These tests attack
-//! the claim with thread stress on the exact carrier — every quantity a
-//! `Dyadic`, every comparison strict — so an over-spend of even one
-//! lattice quantum (2⁻¹²⁷) would fail the suite, not hide in a float
-//! tolerance. The serving half pins the determinism contract of the
-//! split-seed backend end to end through the `RtExecutor` draw plane.
+//! Concurrent charges to one principal of a shared
+//! [`ExactBudgetRegistry`] must never jointly spend more than its
+//! allowance, and the spend it records must be exactly the sum of the
+//! charges it accepted. These tests attack the claim with thread stress
+//! on the exact carrier — every quantity a `Dyadic`, every comparison
+//! strict — so an over-spend or a lost update of even one lattice quantum
+//! (2⁻¹²⁷) would fail the suite, not hide in a float tolerance. The
+//! serving half pins the determinism contract of the split-seed backend
+//! end to end through the `RtExecutor` draw plane.
 
 use sampcert_arith::Dyadic;
 use sampcert_arith::Nat;
-use sampcert_core::{
-    Entropy, ExactShardedLedger, Executor, PureDp, RdpAccountant, Request, ShardedLedger,
-    ShardedRdpAccountant, Zcdp,
-};
+use sampcert_core::{Entropy, ExactBudgetRegistry, Executor, PureDp, Request, Zcdp};
 use sampcert_rt::RtExecutor;
 use sampcert_samplers::{discrete_gaussian_many, LaplaceAlg};
 use sampcert_slang::{ByteSource, SplitSeed};
+
+/// The principal every stress test charges.
+const PRINCIPAL: u64 = 7;
 
 /// A tiny deterministic PRG for generating stress schedules (not noise).
 fn schedule(seed: u64) -> impl FnMut(u64) -> u64 {
@@ -33,31 +33,32 @@ fn schedule(seed: u64) -> impl FnMut(u64) -> u64 {
     }
 }
 
-/// The central stress test: 8 threads hammer one exact sharded ledger
-/// with varied dyadic charges until everyone has been refused several
-/// times; the summed spends must never exceed the budget — exactly.
+/// The central stress test: 8 threads hammer one principal with varied
+/// dyadic charges until everyone has been refused several times. The sum
+/// of the accepted charges must equal the recorded spend exactly and stay
+/// within the allowance.
 #[test]
-fn stressed_shards_never_overspend_exact_budget() {
+fn stressed_principal_never_overspends_exact_allowance() {
     let threads = 8;
-    // Budget 1, tiny chunk: maximal rebalance traffic, maximal risk of a
-    // double-grant or lost-update bug surfacing.
-    let ledger: ExactShardedLedger<PureDp> = ShardedLedger::new(1.0, threads).with_chunk(1e-3);
-    let spends: Vec<Dyadic> = std::thread::scope(|scope| {
+    let registry: ExactBudgetRegistry<PureDp> = ExactBudgetRegistry::new(1.0, threads);
+    let accepted: Vec<Dyadic> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
-                let mut handle = ledger.handle(w);
+                let registry = &registry;
                 scope.spawn(move || {
                     let mut rnd = schedule(w as u64 + 1);
                     let mut refusals = 0;
+                    let mut accepted = Dyadic::zero();
                     while refusals < 8 {
                         // Charges from 2^-12 to 2^-5, all exactly dyadic.
                         let k = 5 + rnd(8);
-                        let gamma = (0.5f64).powi(k as i32);
-                        if handle.charge(gamma).is_err() {
-                            refusals += 1;
+                        let gamma = Dyadic::from_f64_ceil((0.5f64).powi(k as i32));
+                        match registry.charge_exact(PRINCIPAL, gamma.clone()) {
+                            Ok(()) => accepted = &accepted + &gamma,
+                            Err(_) => refusals += 1,
                         }
                     }
-                    handle.finish().spent
+                    accepted
                 })
             })
             .collect();
@@ -66,103 +67,84 @@ fn stressed_shards_never_overspend_exact_budget() {
             .map(|h| h.join().expect("stress worker panicked"))
             .collect()
     });
-    let total = spends
-        .iter()
-        .fold(Dyadic::zero(), |acc, s| &acc + &s.clone());
-    assert!(
-        total <= *ledger.budget(),
-        "shards jointly overspent: {total:?} > {:?}",
-        ledger.budget()
+    let accepted = accepted.iter().fold(Dyadic::zero(), |acc, s| &acc + s);
+    let spent = registry.spent_exact(PRINCIPAL);
+    assert_eq!(
+        accepted, spent,
+        "recorded spend differs from accepted charges"
     );
-    // With every charge and the budget on the lattice, the reserve must
-    // reconcile exactly: budget = spent + unallocated after all handles
-    // finished.
-    assert_eq!(&total + &ledger.unallocated_exact(), *ledger.budget());
+    assert!(
+        spent <= Dyadic::from(1u64),
+        "principal overspent: {spent:?}"
+    );
+    // Every refused charge exceeded what was left, and what is left only
+    // shrinks: the allowance ends within one largest charge of empty.
+    assert!(registry.remaining_exact(PRINCIPAL) < Dyadic::from_f64_ceil(1.0 / 32.0));
 }
 
-/// Uniform charges that divide the budget exactly must be able to drain
-/// it to the last lattice bit across threads — conservativeness must not
-/// decay into under-utilization on the exact carrier.
+/// Uniform charges that divide the allowance exactly must be able to
+/// drain it to the last lattice bit across threads — conservativeness
+/// must not decay into under-utilization on the exact carrier.
 #[test]
-fn uniform_exact_charges_drain_the_budget_completely() {
+fn uniform_exact_charges_drain_the_allowance_completely() {
     let threads = 4;
-    let ledger: ExactShardedLedger<Zcdp> = ShardedLedger::new(1.0, threads);
-    let spends: Vec<Dyadic> = std::thread::scope(|scope| {
+    let registry: ExactBudgetRegistry<Zcdp> = ExactBudgetRegistry::new(1.0, threads);
+    let counts: Vec<u64> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let mut handle = ledger.handle(w);
+            .map(|_| {
+                let registry = &registry;
                 scope.spawn(move || {
                     // 2^-10 each; 1024 charges fit in total across all
                     // threads. Everyone charges until refused twice.
                     let mut refusals = 0;
+                    let mut accepted = 0u64;
                     while refusals < 2 {
-                        if handle.charge((0.5f64).powi(10)).is_err() {
-                            refusals += 1;
+                        match registry.charge(PRINCIPAL, (0.5f64).powi(10)) {
+                            Ok(()) => accepted += 1,
+                            Err(_) => refusals += 1,
                         }
                     }
-                    handle.finish().spent
+                    accepted
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let total = spends
-        .iter()
-        .fold(Dyadic::zero(), |acc, s| &acc + &s.clone());
-    assert_eq!(total, *ledger.budget(), "budget stranded: {total:?}");
-    assert_eq!(ledger.unallocated_exact(), Dyadic::zero());
+    assert_eq!(counts.iter().sum::<u64>(), 1024, "per-thread: {counts:?}");
+    assert_eq!(registry.spent_exact(PRINCIPAL), Dyadic::from(1u64));
+    assert_eq!(registry.remaining_exact(PRINCIPAL), Dyadic::zero());
 }
 
-/// Handles dropped mid-session (a worker dying) must return their grants:
-/// the budget remains fully spendable by the survivors.
+/// A charger that panics after its charge (a worker dying mid-request)
+/// strands nothing: its charge stays spent, and the rest of the
+/// allowance remains fully spendable by the survivors.
 #[test]
-fn dying_workers_leak_no_budget() {
-    let ledger: ExactShardedLedger<PureDp> = ShardedLedger::new(1.0, 4).with_chunk(0.25);
+fn panicking_chargers_strand_no_budget() {
+    let registry: ExactBudgetRegistry<PureDp> = ExactBudgetRegistry::new(1.0, 4);
     std::thread::scope(|scope| {
-        for w in 0..3 {
-            let mut handle = ledger.handle(w);
-            scope.spawn(move || {
-                handle.charge(0.125).unwrap();
-                // Dropped here without finish(): headroom must return.
-            });
+        let dying: Vec<_> = (0..3)
+            .map(|_| {
+                let registry = &registry;
+                scope.spawn(move || {
+                    registry.charge(PRINCIPAL, 0.125).unwrap();
+                    panic!("charger died after its charge");
+                })
+            })
+            .collect();
+        for h in dying {
+            assert!(h.join().is_err(), "the charger was meant to panic");
         }
     });
-    // 3 × 0.125 spent; the remaining 0.625 must all be obtainable by the
-    // fourth shard.
-    let mut survivor = ledger.handle(3);
+    // 3 × 0.125 spent; the remaining 0.625 must all be obtainable.
+    assert_eq!(
+        registry.spent_exact(PRINCIPAL),
+        Dyadic::from_f64_ceil(0.375)
+    );
     for _ in 0..5 {
-        survivor.charge(0.125).unwrap();
+        registry.charge(PRINCIPAL, 0.125).unwrap();
     }
-    assert!(survivor.charge(0.125).is_err());
-    assert_eq!(survivor.finish().spent, Dyadic::from_f64_ceil(0.625));
-}
-
-/// Sharded RDP accounting across real threads equals one-accountant
-/// accounting of the same releases.
-#[test]
-fn sharded_rdp_across_threads_matches_sequential() {
-    let threads = 4;
-    let per_worker = 500u64;
-    let sharded = ShardedRdpAccountant::with_default_orders(threads);
-    let parts: Vec<RdpAccountant> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let mut acct = sharded.shard();
-                scope.spawn(move || {
-                    acct.add_gaussian_n(8.0, per_worker);
-                    acct
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let folded = sharded.fold(parts);
-    let mut reference = RdpAccountant::with_default_orders();
-    reference.add_gaussian_n(8.0, per_worker * threads as u64);
-    let (ef, af) = folded.epsilon(1e-6);
-    let (er, ar) = reference.epsilon(1e-6);
-    assert!((ef - er).abs() < 1e-9, "{ef} vs {er}");
-    assert_eq!(af, ar);
+    assert!(registry.charge(PRINCIPAL, 0.125).is_err());
+    assert_eq!(registry.spent_exact(PRINCIPAL), Dyadic::from(1u64));
 }
 
 /// Split-seed lane streams are replayable end to end through the draw

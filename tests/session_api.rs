@@ -17,13 +17,13 @@
 //!   entropy-independent; the stream itself is not replayable);
 //! - the full builder combination matrix — every carrier × accountant ×
 //!   executor × entropy chain the builder can express compiles and runs
-//!   (the illegal sharded × inline pairs are compile-fail doctests in
-//!   `sampcert-core::session`).
+//!   (a principal-less `answer` on a per-principal session is a
+//!   compile-fail doctest in `sampcert-core::session`).
 
 use sampcert::arith::Dyadic;
 use sampcert::core::{
     count_query, lane_partition, Budget, DpNoise, Entropy, Executor, Ledger, Mechanism, Private,
-    PureDp, Request, Session, SessionError, ShardedLedger, Zcdp,
+    PureDp, Request, Session, SessionError, Zcdp,
 };
 use sampcert::mechanisms::{
     answer_workload, histogram_batch, histogram_request, svt_request, workload_request, Bins,
@@ -193,7 +193,7 @@ fn svt_request_equals_above_threshold_bytewise() {
     }
 }
 
-/// Pooled `Session` (sharded ledger, seeded) vs the per-lane sequential
+/// Pooled `Session` (global ledger, seeded) vs the per-lane sequential
 /// replay: same bytes for the same root and lane count, on both carriers.
 #[test]
 fn pooled_answer_many_equals_per_lane_replay_bytewise() {
@@ -206,7 +206,7 @@ fn pooled_answer_many_equals_per_lane_replay_bytewise() {
 
     // f64 carrier.
     let mut session = Session::<Zcdp>::builder()
-        .sharded_ledger(1e6)
+        .ledger(1e6)
         .executor::<RtExecutor>(lanes)
         .seeded(9)
         .build();
@@ -217,7 +217,7 @@ fn pooled_answer_many_equals_per_lane_replay_bytewise() {
     // Exact carrier, same bytes again.
     let mut exact = Session::<Zcdp>::builder()
         .exact()
-        .sharded_ledger(1e6)
+        .ledger(1e6)
         .executor::<RtExecutor>(lanes)
         .seeded(9)
         .build();
@@ -247,7 +247,7 @@ fn pooled_noise_request_equals_per_lane_gaussian_many_bytewise() {
 
         let req: Request<Zcdp, (), i64> = Request::noise(sigma, 1);
         let mut session = Session::<Zcdp>::builder()
-            .sharded_ledger(1e6)
+            .ledger(1e6)
             .executor::<RtExecutor>(lanes)
             .seeded(17)
             .build();
@@ -263,10 +263,10 @@ fn pooled_noise_request_equals_per_lane_gaussian_many_bytewise() {
     }
 }
 
-/// The sharded exact session is exactly accounted: it releases the
-/// per-lane replay, spends exactly what charging each lane's chunk to its
-/// shard spends (here the whole budget), and the refusal that ends the
-/// session names a shard on the exact carrier.
+/// A pooled exact session is exactly accounted: it releases the
+/// per-lane replay, spends exactly what one batched ledger charge of the
+/// same answers spends (here the whole budget), and the refusal that ends
+/// the session names the exact carrier.
 #[test]
 fn pooled_exact_session_is_exactly_accounted() {
     let q = count_query::<u8>();
@@ -279,34 +279,31 @@ fn pooled_exact_session_is_exactly_accounted() {
     // Budget 16 admits exactly 64 answers at ε = 1/4.
     let mut session = Session::<PureDp>::builder()
         .exact()
-        .sharded_ledger(16.0)
+        .ledger(16.0)
         .executor::<RtExecutor>(lanes)
         .seeded(5)
         .build();
     let answers = session.answer_many(&req, &db, 64).unwrap();
     assert_eq!(answers, per_lane_replay(p.mechanism(), &db, 64, lanes, 5));
 
-    // Reference: each lane's chunk charged to its shard as one batch.
-    let reference: ShardedLedger<PureDp, Dyadic> = ShardedLedger::new(16.0, lanes);
-    for (i, len) in lane_partition(64, lanes).into_iter().enumerate() {
-        reference
-            .handle(i)
-            .charge_batch(gamma, len as u64)
-            .expect("fits exactly");
-    }
-    assert_eq!(reference.unallocated_exact(), Dyadic::zero());
-    assert_eq!(
-        session.accountant().unallocated_exact(),
-        reference.unallocated_exact()
-    );
+    // Reference: the same 64 answers charged as one batch.
+    let mut reference: Ledger<PureDp, Dyadic> = Ledger::new(16.0);
+    reference
+        .charge_batch("count", gamma, 64)
+        .expect("fits exactly");
+    assert_eq!(reference.remaining_exact(), Dyadic::zero());
+    assert_eq!(session.accountant().spent_exact(), reference.spent_exact());
 
-    // The next batch is refused by a named shard, with the exact carrier.
+    // The next batch is refused on the exact carrier.
     let err = session.answer_many(&req, &db, 64).unwrap_err();
     match err {
         SessionError::Budget(b) => {
-            assert!(b.shard.is_some());
             assert_eq!(b.carrier, "dyadic");
-            assert!(b.to_string().contains("carrier: dyadic, shard:"), "{b}");
+            assert_eq!(b.remaining, Dyadic::zero());
+            assert_eq!(
+                b.to_string(),
+                "privacy budget exceeded: requested 16, remaining 0 [carrier: dyadic]"
+            );
         }
         other => panic!("expected budget refusal, got {other}"),
     }
@@ -341,36 +338,35 @@ fn pooled_per_principal_session_isolates_and_names_principals() {
     assert_eq!(session.accountant().spent_exact(2), Dyadic::from(1u64));
 }
 
-/// A *partial* sharded refusal releases nothing: chunks whose shard
-/// charge succeeded are discarded unreleased (their budget stays spent —
-/// conservative) and the caller's buffer is untouched, exactly as the
-/// `stream_into` contract states.
+/// A refused pooled batch spends nothing and draws nothing: the whole
+/// batch is charged once before any lane draws, so a batch that does not
+/// fit leaves the caller's buffer, the spend and every lane's stream
+/// untouched. The next batch that fits is exactly what a fresh pool
+/// serves.
 #[test]
-fn partial_shard_refusal_releases_nothing_and_leaves_buffer_untouched() {
+fn pooled_refusal_spends_nothing_and_draws_nothing() {
     let p: Private<PureDp, u8, i64> = Private::noised_query(&count_query(), 1, 4);
     let req = Request::from_private(&p, "count");
-    // Budget 3 (dyadic-exact), 2 workers, 16 answers at ε = 1/4: each
-    // chunk costs 2, so exactly one shard's charge can fit — the other
-    // must refuse, whatever the thread interleaving.
+    let db = [0u8; 5];
+    // Budget 3 (dyadic-exact), 2 lanes, 16 answers at ε = 1/4 cost 4.
     let mut session = Session::<PureDp>::builder()
         .exact()
-        .sharded_ledger(3.0)
+        .ledger(3.0)
         .executor::<RtExecutor>(2)
         .seeded(6)
         .build();
     let mut out = vec![99i64];
-    let err = session
-        .stream_into(&req, &[0u8; 5], 16, &mut out)
-        .unwrap_err();
+    let err = session.stream_into(&req, &db, 16, &mut out).unwrap_err();
     let refusal = err.as_budget().expect("budget refusal");
-    assert!(refusal.shard.is_some());
+    assert_eq!(refusal.remaining, Dyadic::from(3u64));
     assert_eq!(out, vec![99], "refused serve mutated the caller's buffer");
-    // The winning shard's chunk charge (8 × ε/4 = 2) stays spent: the
-    // reserve holds exactly budget − 2 once the per-call handles dropped.
-    assert_eq!(
-        session.accountant().unallocated_exact(),
-        Dyadic::from_f64_ceil(1.0)
-    );
+    assert_eq!(session.accountant().spent_exact(), &Dyadic::zero());
+
+    // 12 answers cost exactly 3 and are drawn from untouched lanes: the
+    // fresh per-lane replay, as if the refused batch never arrived.
+    let served = session.answer_many(&req, &db, 12).unwrap();
+    assert_eq!(served, per_lane_replay(p.mechanism(), &db, 12, 2, 6));
+    assert_eq!(session.accountant().spent_exact(), &Dyadic::from(3u64));
 }
 
 /// OS-entropy sessions serve the right shapes and account identically to
@@ -404,32 +400,26 @@ fn os_entropy_sessions_serve_and_account_for_both_carriers() {
         &Dyadic::from_f64_ceil(10.0)
     );
 
-    // Pooled OS-entropy, sharded exact accounting.
+    // Pooled OS-entropy, exact accounting.
     let mut pooled = Session::<PureDp>::builder()
         .exact()
-        .sharded_ledger(100.0)
+        .ledger(100.0)
         .executor::<RtExecutor>(2)
         .entropy(Entropy::Os)
         .build();
     let out = pooled.answer_many(&req, &db, 40).unwrap();
     assert_eq!(out.len(), 40);
     assert_eq!(
-        pooled
-            .accountant()
-            .budget()
-            .clone()
-            .saturating_sub(&pooled.accountant().unallocated_exact()),
-        Dyadic::from_f64_ceil(10.0),
-        "granted-out budget must equal the spend once no handles are live"
+        pooled.accountant().spent_exact(),
+        &Dyadic::from_f64_ceil(10.0)
     );
 }
 
-/// Every legal builder chain compiles **and runs**: the full
-/// {carrier} × {accountant} × {executor} × {entropy} matrix. The illegal
-/// cells (sharded accountants × inline executor) are compile-fail
-/// doctests in `sampcert-core`'s session module — together the two suites
-/// cover the acceptance rule "every combination either compiles-and-runs
-/// or is statically unrepresentable".
+/// Every builder chain compiles **and runs**: the full {carrier} ×
+/// {global accountant} × {executor} × {entropy} matrix. Per-principal
+/// accountants serve through `answer_for` instead; a principal-less
+/// `answer` on them is a compile-fail doctest in `sampcert-core`'s
+/// session module.
 #[test]
 fn builder_combination_matrix_compiles_and_runs() {
     // One serve through a freshly built session; PureDp noise at scale 2
@@ -460,40 +450,33 @@ fn builder_combination_matrix_compiles_and_runs() {
     carrier_entropy_cases!((ledger(1e6)), (executor::<RtExecutor>(2)));
     carrier_entropy_cases!((rdp(1e-6, 1e6)), (inline()));
     carrier_entropy_cases!((rdp(1e-6, 1e6)), (executor::<RtExecutor>(2)));
-    // Sharded accountants × the pooled executor (inline is a compile error).
-    carrier_entropy_cases!((sharded_ledger(1e6)), (executor::<RtExecutor>(2)));
-    carrier_entropy_cases!((sharded_rdp(1e-6, 1e6)), (executor::<RtExecutor>(2)));
 }
 
-/// The sharded RDP meter folds exactly to the global accounting of the
-/// same releases.
+/// A pooled RDP session is accounted exactly like an inline one: the
+/// meter charges the whole batch once, whichever lanes draw it, so the
+/// ε it reports (and its optimizing order) equals the inline session's.
 #[test]
-fn sharded_rdp_session_folds_to_global_accounting() {
-    let mut sharded = Session::<Zcdp>::builder()
-        .sharded_rdp(1e-6, 100.0)
+fn pooled_rdp_session_epsilon_equals_inline() {
+    let mut pooled = Session::<Zcdp>::builder()
+        .rdp(1e-6, 100.0)
         .executor::<RtExecutor>(4)
         .seeded(2)
         .build();
     let req: Request<Zcdp, (), i64> = Request::noise(8, 1);
-    sharded.answer_many(&req, &[], 1000).unwrap();
+    assert_eq!(pooled.answer_many(&req, &[], 1000).unwrap().len(), 1000);
 
-    let mut global = Session::<Zcdp>::builder()
+    let mut inline = Session::<Zcdp>::builder()
         .rdp(1e-6, 100.0)
         .inline()
         .seeded(2)
         .build();
-    global.answer_many(&req, &[], 1000).unwrap();
+    inline.answer_many(&req, &[], 1000).unwrap();
 
-    let (es, a_s) = sharded.accountant().epsilon();
-    let (eg, a_g) = global.accountant().epsilon();
-    assert!((es - eg).abs() < 1e-9, "{es} vs {eg}");
-    assert_eq!(a_s, a_g);
-    // Four lanes really accumulated (1000 split 250 each).
-    assert_eq!(sharded.accountant().lane_accountants().len(), 4);
+    assert_eq!(pooled.accountant().epsilon(), inline.accountant().epsilon());
 }
 
 /// `SessionError` chains its cause for both variants, and budget
-/// refusals keep the carrier/shard attribution of the legacy errors.
+/// refusals keep the carrier attribution of the legacy errors.
 #[test]
 fn session_errors_chain_and_attribute() {
     use std::error::Error as _;
