@@ -247,6 +247,13 @@ impl<D: AbstractDp, B: Budget> Ledger<D, B> {
         Ok(())
     }
 
+    /// Whether [`charge_exact`](Self::charge_exact) of `gamma` would be
+    /// admitted right now — the same comparison, without recording
+    /// anything (the session's admission probe).
+    pub(crate) fn admits(&self, gamma: &B) -> bool {
+        gamma.is_valid() && !B::exceeds(&B::compose::<D>(&self.spent, gamma), &self.budget)
+    }
+
     /// Records a batch of `count` releases, each costing `gamma_each`,
     /// under one label — the ledger-side half of batched noise serving
     /// (see [`NoiseBatch`](crate::NoiseBatch)). The batch is composed in

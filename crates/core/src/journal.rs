@@ -2002,6 +2002,13 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
         RegistryView::new(&self.core.registry)
     }
 
+    /// The in-memory registry of committed spend, for the session's
+    /// admission probe (crate-internal: it exposes the unjournaled
+    /// mutators).
+    pub(crate) fn committed(&self) -> &BudgetRegistry<D, B> {
+        &self.core.registry
+    }
+
     /// The failure that latched the journal closed, if any. While this is
     /// `Some`, every charge is refused without touching storage (see
     /// "Failure latching" in the module docs); recovery is a restart over

@@ -68,11 +68,9 @@ pub use private::{CheckOptions, PrivacyViolation, Private};
 pub use query::{bounded_sum_query, count_query, Query, SensitivityViolation};
 pub use registry::{BudgetRegistry, ExactBudgetRegistry, RegistryView};
 pub use session::{
-    lane_partition, Accountant, AccountantPlan, Admission, AdmissionPolicy, AdmissionShed,
-    AnswerForFuture, AnswerFuture, DurablePlan, Entropy, Executor, ExecutorFailure, IngressGauge,
-    Inline, LedgerPlan, NoAccountant, NoExecutor, Planned, PrincipalAccountant, PrincipalAdmission,
-    QueueFull, RdpCurve, RdpMeter, RdpPlan, RegistryPlan, Request, Session, SessionBuilder,
-    SessionError, SpawnExecutor,
+    lane_partition, Accountant, AdmissionPolicy, AdmissionShed, Entropy, Executor, ExecutorFailure,
+    IngressGauge, Inline, NoAccountant, NoExecutor, Planned, PrincipalAccountant, QueueFull,
+    RdpCurve, RdpMeter, Request, Session, SessionBuilder, SessionError,
 };
 // Re-exported so exact-ledger users don't need a direct arith dependency.
 pub use sampcert_arith::Dyadic;

@@ -7,14 +7,13 @@
 //! (a pooled executor's draw lanes). A [`Session`] closes the
 //! configuration space behind a single builder:
 //!
-//! - the budget **carrier** (`f64` or exact
-//!   [`Dyadic`](sampcert_arith::Dyadic)) — [`SessionBuilder::exact`] /
-//!   [`SessionBuilder::carrier`];
+//! - the budget **carrier** (`f64` by default, or exact
+//!   [`Dyadic`](sampcert_arith::Dyadic) after [`SessionBuilder::exact`]);
 //! - the **accountant** (pure-notion [`Ledger`], Rényi [`RdpMeter`], or
 //!   a per-principal registry) — [`SessionBuilder::ledger`],
 //!   [`SessionBuilder::rdp`], [`SessionBuilder::registry`];
-//! - the **executor** (the in-core single-lane [`Inline`], or any
-//!   [`SpawnExecutor`] such as `sampcert-rt`'s `RtExecutor` draw pool)
+//! - the **executor** (the in-core single-lane [`Inline`], or any other
+//!   [`Executor`] such as `sampcert-rt`'s `RtExecutor` draw pool)
 //!   — [`SessionBuilder::inline`] / [`SessionBuilder::executor`];
 //! - the **entropy backend** ([`Entropy::Os`] or a replayable
 //!   [`Entropy::Seeded`] split-seed tree) — [`SessionBuilder::entropy`].
@@ -26,8 +25,10 @@
 //! ([`Request::noise`]), any typed [`Private`] mechanism
 //! ([`Request::from_private`]), or the request constructors in
 //! `sampcert-mechanisms` (histogram, workload, SVT, count, mean). Every
-//! serve is **charge-before-serve**: the accountant charges the whole
-//! batch (n answers × the request's price) once, and only then does the
+//! serve is **charge-before-serve**, written once in
+//! [`Session::stream_into`] (and its per-principal twin): the
+//! accountant's [`charge`](Accountant::charge) prices the whole batch
+//! (n answers × the request's price) once, and only then does the
 //! executor draw, on one lane or many. A refused request therefore
 //! spends nothing, releases nothing and touches no byte source. The
 //! released bytes are identical to the unmetered primitives' on the same
@@ -88,10 +89,11 @@
 //! `sampcert-rt`). The serve itself is unchanged — the first poll runs
 //! the exact charge-then-serve path [`Session::answer`] runs, so the
 //! released bytes and the recorded charges are identical — but
-//! **admission control** runs at future construction, *before* any
-//! charge is attempted. An [`AdmissionPolicy`] (installed with
-//! [`SessionBuilder::admission`]) can reject a request in two ways, each
-//! with its own [`SessionError`] variant:
+//! **admission control** runs when the future is built, *before* any
+//! charge is attempted, using the accountant's non-mutating
+//! [`can_admit`](Accountant::can_admit) probe. An [`AdmissionPolicy`]
+//! (installed with [`SessionBuilder::admission`]) can reject a request in
+//! two ways, each with its own [`SessionError`] variant:
 //!
 //! - [`SessionError::QueueFull`]: the session's ingress queue (tracked
 //!   by a shared [`IngressGauge`]) is over the policy's depth bound —
@@ -147,10 +149,8 @@ use crate::registry::BudgetRegistry;
 use sampcert_slang::{ByteSource, OsByteSource, SplitSeed, Value};
 use std::future::Future;
 use std::marker::PhantomData;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll};
 
 // ---------------------------------------------------------------------------
 // Entropy
@@ -212,8 +212,8 @@ impl std::fmt::Display for ExecutorFailure {
 impl std::error::Error for ExecutorFailure {}
 
 /// The admission-control refusal behind [`SessionError::Shed`]: the
-/// accountant's accounting state proves (conservatively — see
-/// [`Admission`]) that the request cannot be served, so it is rejected
+/// accountant's accounting state proves (see [`Accountant::can_admit`])
+/// that the request cannot be served, so it is rejected
 /// **before** any charge is attempted. Nothing is spent, journaled, or
 /// released, and no entropy is consumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -295,8 +295,9 @@ impl std::error::Error for QueueFull {}
 /// [`QueueFull`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionError<B: Budget = f64> {
-    /// The accountant refused the charge; nothing was spent, released,
-    /// or drawn.
+    /// The accountant refused the charge, or the batch's unit count
+    /// (answers × units per answer) does not fit a `u64`; nothing was
+    /// spent, released, or drawn.
     Budget(BudgetExceeded<B>),
     /// The execution backend failed; any budget charged for the refused
     /// answers stays spent (the conservative direction).
@@ -464,6 +465,16 @@ impl<B: Budget> From<DurableChargeError<B>> for SessionError<B> {
 /// backend's stream(s) — execution changes *which verified stream* a draw
 /// comes from, never the distribution it is drawn from.
 pub trait Executor {
+    /// Builds the executor from the session's [`Entropy`] choice and a
+    /// requested lane count — what lets
+    /// `SessionBuilder::executor::<E>(lanes)` stay generic over backends
+    /// the core crate cannot name (such as `sampcert-rt`'s `RtExecutor`).
+    /// `lanes` is a request, not a command: a backend may clamp it (e.g.
+    /// [`Inline`] always has one lane).
+    fn spawn(entropy: Entropy, lanes: usize) -> Self
+    where
+        Self: Sized;
+
     /// Number of independent lanes (byte streams) this executor serves
     /// from. `1` for [`Inline`]; the worker count for a pool.
     fn lanes(&self) -> usize;
@@ -483,18 +494,6 @@ pub trait Executor {
         n: usize,
         out: &mut Vec<U>,
     ) -> Result<(), ExecutorFailure>;
-}
-
-/// An [`Executor`] the session builder can construct itself, from the
-/// session's [`Entropy`] choice and a requested lane count — what lets
-/// `SessionBuilder::executor::<E>(lanes)` stay generic over backends the
-/// core crate cannot name (such as `sampcert-rt`'s `RtExecutor`).
-pub trait SpawnExecutor: Executor + Sized {
-    /// Builds the executor. `lanes` is a request, not a command: a
-    /// backend may clamp it (e.g. [`Inline`] always has one lane); the
-    /// builder reads the actual [`Executor::lanes`] back after spawning,
-    /// so a registry's lock shards match the real lane count.
-    fn spawn(entropy: Entropy, lanes: usize) -> Self;
 }
 
 /// The single-lane executor: draws on the calling thread from one byte
@@ -529,6 +528,11 @@ impl Inline {
 }
 
 impl Executor for Inline {
+    /// Ignores `lanes`: inline execution always has exactly one lane.
+    fn spawn(entropy: Entropy, _lanes: usize) -> Self {
+        Inline::new(entropy)
+    }
+
     fn lanes(&self) -> usize {
         1
     }
@@ -542,13 +546,6 @@ impl Executor for Inline {
     ) -> Result<(), ExecutorFailure> {
         mech.run_many_into(db, n, &mut *self.src, out);
         Ok(())
-    }
-}
-
-impl SpawnExecutor for Inline {
-    /// Ignores `lanes`: inline execution always has exactly one lane.
-    fn spawn(entropy: Entropy, _lanes: usize) -> Self {
-        Inline::new(entropy)
     }
 }
 
@@ -788,24 +785,18 @@ impl<B: Budget> RdpMeter<B> {
         self.acct.epsilon(self.delta)
     }
 
-    /// Admits `count` releases of `gamma` under notion `D` if the
-    /// post-charge ε still fits the policy; the accountant is unchanged
-    /// on refusal.
-    fn try_charge<D: RdpCurve>(&mut self, gamma: f64, count: u64) -> Result<(), BudgetExceeded<B>> {
+    /// The accountant after `count` more releases of `gamma` under notion
+    /// `D` if its ε at the policy δ still fits the budget, or else that
+    /// ε — the one trial composition the charge and the admission probe
+    /// share.
+    fn trial<D: RdpCurve>(&self, gamma: f64, count: u64) -> Result<RdpAccountant<B>, f64> {
         let mut trial = self.acct.clone();
         trial.add_curve_n(|a| D::rdp_curve(gamma, a), count);
         let (eps, _) = trial.epsilon(self.delta);
         if eps > self.budget_eps + 1e-12 {
-            let (current, _) = self.acct.epsilon(self.delta);
-            // Requested/remaining are reported in ε-at-δ space — the
-            // space the policy is stated in.
-            return Err(BudgetExceeded::new(
-                B::charge_from_f64((eps - current).max(0.0)),
-                B::budget_from_f64((self.budget_eps - current).max(0.0)),
-            ));
+            return Err(eps);
         }
-        self.acct = trial;
-        Ok(())
+        Ok(trial)
     }
 }
 
@@ -879,9 +870,9 @@ impl IngressGauge {
 ///   than* `bound` waiting requests are refused with
 ///   [`SessionError::QueueFull`];
 /// - **budget-keyed shedding** ([`shed_unservable`](Self::shed_unservable)):
-///   requests the accountant's [`Admission`] probe proves unservable are
-///   refused with [`SessionError::Shed`] without touching the
-///   accountant.
+///   requests the accountant's [`can_admit`](Accountant::can_admit)
+///   probe proves unservable are refused with [`SessionError::Shed`]
+///   without touching the accountant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     max_queue_depth: Option<usize>,
@@ -911,8 +902,9 @@ impl AdmissionPolicy {
     }
 
     /// Enable budget-keyed load shedding: refuse requests the
-    /// accountant's [`Admission`] probe proves cannot be served
-    /// ([`SessionError::Shed`]), before any charge is attempted.
+    /// accountant's [`can_admit`](Accountant::can_admit) probe proves
+    /// cannot be served ([`SessionError::Shed`]), before any charge is
+    /// attempted.
     pub fn shed_unservable(mut self) -> Self {
         self.shed_unservable = true;
         self
@@ -929,194 +921,129 @@ impl AdmissionPolicy {
     }
 }
 
-/// The non-mutating admission probe behind budget-keyed load shedding:
-/// can a batch totalling `units` releases of `gamma_unit` possibly be
-/// admitted right now?
-///
-/// `false` means the accounting state already proves the charge would be
-/// refused. `true` is advisory only — the authoritative charge check
-/// still runs at serve time, so a probe race never over-spends.
-pub trait Admission<D: AbstractDp, B: Budget> {
-    /// Whether a batch of `units` releases of `gamma_unit` could be
-    /// admitted against the current accounting state.
+// ---------------------------------------------------------------------------
+// Accountants
+// ---------------------------------------------------------------------------
+
+/// A global accountant ([`Ledger`], [`RdpMeter`]): the one charge step
+/// every serve of a global session runs, and its non-mutating admission
+/// probe. [`Session::stream_into`] charges the whole batch once through
+/// [`charge`](Self::charge) and only then hands it to the executor.
+pub trait Accountant<D: AbstractDp, B: Budget> {
+    /// Records `units` releases of `gamma_unit` under `label` as one
+    /// all-or-nothing charge; a refusal leaves the accountant unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Budget`] when the batch does not fit.
+    fn charge(&mut self, label: &str, gamma_unit: f64, units: u64) -> Result<(), SessionError<B>>;
+
+    /// Whether [`charge`](Self::charge) of the same batch would succeed
+    /// right now, without recording anything — the probe behind
+    /// budget-keyed load shedding ([`AdmissionPolicy::shed_unservable`]).
     fn can_admit(&self, gamma_unit: f64, units: u64) -> bool;
 }
 
-impl<D: AbstractDp, B: Budget> Admission<D, B> for Ledger<D, B> {
-    /// Sheds exactly when the composed batch exceeds the remaining
-    /// budget — the same comparison [`Ledger::charge_batch`] makes, on
-    /// the same carrier, without mutating the ledger.
+impl<D: AbstractDp, B: Budget> Accountant<D, B> for Ledger<D, B> {
+    fn charge(&mut self, label: &str, gamma_unit: f64, units: u64) -> Result<(), SessionError<B>> {
+        Ok(self.charge_batch(label, gamma_unit, units)?)
+    }
+
     fn can_admit(&self, gamma_unit: f64, units: u64) -> bool {
-        let total = B::compose_n::<D>(&B::charge_from_f64(gamma_unit), units);
-        total.is_valid() && !B::exceeds(&total, &self.remaining_exact())
+        self.admits(&B::compose_n::<D>(&B::charge_from_f64(gamma_unit), units))
     }
 }
 
-impl<D: RdpCurve, B: Budget> Admission<D, B> for RdpMeter<B> {
-    /// Sheds when a trial composition of the batch converts to an ε over
-    /// the policy budget — the same check [`RdpMeter`]'s charge path
-    /// runs, against a clone.
+impl<D: RdpCurve, B: Budget> Accountant<D, B> for RdpMeter<B> {
+    fn charge(&mut self, _label: &str, gamma_unit: f64, units: u64) -> Result<(), SessionError<B>> {
+        match self.trial::<D>(gamma_unit, units) {
+            Ok(trial) => {
+                self.acct = trial;
+                Ok(())
+            }
+            Err(eps) => {
+                let (current, _) = self.acct.epsilon(self.delta);
+                // Requested/remaining are reported in ε-at-δ space — the
+                // space the policy is stated in.
+                Err(SessionError::Budget(BudgetExceeded::new(
+                    B::charge_from_f64((eps - current).max(0.0)),
+                    B::budget_from_f64((self.budget_eps - current).max(0.0)),
+                )))
+            }
+        }
+    }
+
     fn can_admit(&self, gamma_unit: f64, units: u64) -> bool {
-        let mut trial = self.acct.clone();
-        trial.add_curve_n(|a| D::rdp_curve(gamma_unit, a), units);
-        let (eps, _) = trial.epsilon(self.delta);
-        eps <= self.budget_eps + 1e-12
+        self.trial::<D>(gamma_unit, units).is_ok()
     }
 }
 
-/// The per-principal twin of [`Admission`]: the probe behind
-/// [`Session::answer_for_async`]'s budget-keyed shedding.
-pub trait PrincipalAdmission<D: AbstractDp, B: Budget> {
-    /// Whether a batch of `units` releases of `gamma_unit` could be
-    /// admitted against `principal`'s current allowance.
+/// The per-principal twin of [`Accountant`]: the charge lands on one
+/// principal's allowance inside a [`BudgetRegistry`] (in-memory) or
+/// [`DurableRegistry`] (write-ahead journaled). Per-principal sessions
+/// are built with [`SessionBuilder::build_per_principal`] and serve
+/// through [`Session::answer_for`] — the principal-less
+/// [`Session::answer`] does not exist on them (no [`Accountant`] impl),
+/// and vice versa.
+pub trait PrincipalAccountant<D: AbstractDp, B: Budget> {
+    /// Records `units` releases of `gamma_unit` against `principal` as
+    /// one all-or-nothing charge — for durable registries, returning
+    /// only once the charge is durably journaled.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Budget`] when the batch does not fit the
+    /// principal's allowance, [`SessionError::Journal`] when a durable
+    /// registry cannot journal the charge (degrade-to-reject).
+    fn charge_for(
+        &mut self,
+        principal: u64,
+        gamma_unit: f64,
+        units: u64,
+    ) -> Result<(), SessionError<B>>;
+
+    /// Whether [`charge_for`](Self::charge_for) of the same batch would
+    /// succeed right now (with no other charge in flight), without
+    /// recording anything.
     fn can_admit_for(&self, principal: u64, gamma_unit: f64, units: u64) -> bool;
 }
 
-impl<D: AbstractDp, B: Budget> PrincipalAdmission<D, B> for BudgetRegistry<D, B> {
-    /// Sheds exactly when [`BudgetRegistry::check_exact`] would refuse
-    /// the composed batch — the authoritative admission check, run
-    /// without applying.
+impl<D: AbstractDp, B: Budget> PrincipalAccountant<D, B> for BudgetRegistry<D, B> {
+    fn charge_for(
+        &mut self,
+        principal: u64,
+        gamma_unit: f64,
+        units: u64,
+    ) -> Result<(), SessionError<B>> {
+        Ok(self.charge_batch(principal, gamma_unit, units)?)
+    }
+
     fn can_admit_for(&self, principal: u64, gamma_unit: f64, units: u64) -> bool {
         let total = B::compose_n::<D>(&B::charge_from_f64(gamma_unit), units);
         total.is_valid() && self.check_exact(principal, &total).is_ok()
     }
 }
 
-impl<D: AbstractDp, B: Budget, S: JournalStorage> PrincipalAdmission<D, B>
-    for DurableRegistry<D, B, S>
-{
-    /// Sheds when the journal has latched closed (every charge would be
-    /// refused anyway) or the composed batch exceeds the principal's
-    /// committed remaining allowance. Group-commit reservations are not
-    /// counted — the probe may admit a request the reserved-aware charge
-    /// check then refuses, which only costs a budget refusal, never an
-    /// over-spend.
-    fn can_admit_for(&self, principal: u64, gamma_unit: f64, units: u64) -> bool {
-        if self.journal_error().is_some() {
-            return false;
-        }
-        let total = B::compose_n::<D>(&B::charge_from_f64(gamma_unit), units);
-        total.is_valid() && !B::exceeds(&total, &self.remaining_exact(principal))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Charge, then draw
-// ---------------------------------------------------------------------------
-
-/// The charge-then-serve step of a global accountant ([`Ledger`],
-/// [`RdpMeter`]): one charge for the whole batch, then one
-/// [`Executor::run_into`] on whatever executor the session holds.
-pub trait Accountant<D: AbstractDp, B: Budget> {
-    /// Charges `n` answers of `req` and, only if the whole batch fits,
-    /// serves them through `exec` into `out`. A refusal spends nothing,
-    /// releases nothing, consumes no entropy, and leaves `out` untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Budget`] when the batch does not fit,
-    /// [`SessionError::Executor`] when the backend cannot serve.
-    fn serve_into<E: Executor, T: Sync + 'static, U: Value>(
-        &mut self,
-        exec: &mut E,
-        req: &Request<D, T, U>,
-        db: &[T],
-        n: usize,
-        out: &mut Vec<U>,
-    ) -> Result<(), SessionError<B>>;
-}
-
-impl<D: AbstractDp, B: Budget> Accountant<D, B> for Ledger<D, B> {
-    fn serve_into<E: Executor, T: Sync + 'static, U: Value>(
-        &mut self,
-        exec: &mut E,
-        req: &Request<D, T, U>,
-        db: &[T],
-        n: usize,
-        out: &mut Vec<U>,
-    ) -> Result<(), SessionError<B>> {
-        self.charge_batch(req.label(), req.gamma_unit(), n as u64 * req.units())?;
-        exec.run_into(req.mechanism(), db, n, out)?;
-        Ok(())
-    }
-}
-
-impl<D: RdpCurve, B: Budget> Accountant<D, B> for RdpMeter<B> {
-    fn serve_into<E: Executor, T: Sync + 'static, U: Value>(
-        &mut self,
-        exec: &mut E,
-        req: &Request<D, T, U>,
-        db: &[T],
-        n: usize,
-        out: &mut Vec<U>,
-    ) -> Result<(), SessionError<B>> {
-        self.try_charge::<D>(req.gamma_unit(), n as u64 * req.units())?;
-        exec.run_into(req.mechanism(), db, n, out)?;
-        Ok(())
-    }
-}
-
-/// The per-principal twin of [`Accountant`]: charge-then-serve where the
-/// charge lands on one principal's allowance inside a
-/// [`BudgetRegistry`] (in-memory) or [`DurableRegistry`] (write-ahead
-/// journaled). Per-principal sessions are built with
-/// [`SessionBuilder::build_per_principal`] and serve through
-/// [`Session::answer_for`] — the principal-less [`Session::answer`] does
-/// not exist on them (no [`Accountant`] impl), and vice versa.
-pub trait PrincipalAccountant<D: AbstractDp, B: Budget> {
-    /// Charges `n` answers of `req` to `principal` and, only if the whole
-    /// batch fits (and, for durable registries, only once the charge is
-    /// durably journaled), serves them through `exec` into `out`. A
-    /// refusal releases nothing and consumes no entropy.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Budget`] when the batch does not fit the
-    /// principal's allowance, [`SessionError::Journal`] when a durable
-    /// registry cannot journal the charge (degrade-to-reject),
-    /// [`SessionError::Executor`] when the backend cannot serve.
-    fn serve_for_into<E: Executor, T: Sync + 'static, U: Value>(
-        &mut self,
-        exec: &mut E,
-        principal: u64,
-        req: &Request<D, T, U>,
-        db: &[T],
-        n: usize,
-        out: &mut Vec<U>,
-    ) -> Result<(), SessionError<B>>;
-}
-
-impl<D: AbstractDp, B: Budget> PrincipalAccountant<D, B> for BudgetRegistry<D, B> {
-    fn serve_for_into<E: Executor, T: Sync + 'static, U: Value>(
-        &mut self,
-        exec: &mut E,
-        principal: u64,
-        req: &Request<D, T, U>,
-        db: &[T],
-        n: usize,
-        out: &mut Vec<U>,
-    ) -> Result<(), SessionError<B>> {
-        self.charge_batch(principal, req.gamma_unit(), n as u64 * req.units())?;
-        exec.run_into(req.mechanism(), db, n, out)?;
-        Ok(())
-    }
-}
-
 impl<D: AbstractDp, B: Budget, S: JournalStorage> PrincipalAccountant<D, B>
     for DurableRegistry<D, B, S>
 {
-    fn serve_for_into<E: Executor, T: Sync + 'static, U: Value>(
+    fn charge_for(
         &mut self,
-        exec: &mut E,
         principal: u64,
-        req: &Request<D, T, U>,
-        db: &[T],
-        n: usize,
-        out: &mut Vec<U>,
+        gamma_unit: f64,
+        units: u64,
     ) -> Result<(), SessionError<B>> {
-        self.charge_batch(principal, req.gamma_unit(), n as u64 * req.units())?;
-        exec.run_into(req.mechanism(), db, n, out)?;
-        Ok(())
+        Ok(self.charge_batch(principal, gamma_unit, units)?)
+    }
+
+    /// Also sheds once the journal has latched closed (every charge would
+    /// be refused anyway). Group-commit reservations are not counted: with
+    /// charges in flight the probe may admit a request the reserved-aware
+    /// charge then refuses, which costs a budget refusal, never an
+    /// over-spend.
+    fn can_admit_for(&self, principal: u64, gamma_unit: f64, units: u64) -> bool {
+        self.journal_error().is_none()
+            && self.committed().can_admit_for(principal, gamma_unit, units)
     }
 }
 
@@ -1125,9 +1052,8 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> PrincipalAccountant<D, B>
 // ---------------------------------------------------------------------------
 
 /// Builder state: no accountant chosen yet. The carrier can still be
-/// changed in this state ([`SessionBuilder::exact`] /
-/// [`SessionBuilder::carrier`]); once an accountant is chosen it is fixed
-/// inside the accountant's type.
+/// changed in this state ([`SessionBuilder::exact`]); once an accountant
+/// is chosen it is fixed inside the accountant's type.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoAccountant;
 
@@ -1136,102 +1062,28 @@ pub struct NoAccountant;
 pub struct NoExecutor;
 
 /// Builder state: executor backend `E` chosen, to be spawned with this
-/// many lanes at [`SessionBuilder::build`] time.
+/// many lanes at [`SessionBuilder::build`] time (after the entropy
+/// choice, which may still follow).
 #[derive(Debug, Clone, Copy)]
 pub struct Planned<E> {
     lanes: usize,
     _exec: PhantomData<E>,
 }
 
-/// A deferred accountant choice: built only at
-/// [`SessionBuilder::build`] time, when the executor's actual lane count
-/// is known — which is how a registry's lock-shard count follows the
-/// pool's worker count without the caller wiring either.
-pub trait AccountantPlan<D: AbstractDp, B: Budget> {
-    /// The accountant this plan builds.
-    type Built;
-    /// Builds the accountant for an executor with `lanes` lanes.
-    fn build_accountant(self, lanes: usize) -> Self::Built;
-}
-
-/// Plan for a global [`Ledger`] (see [`SessionBuilder::ledger`]).
-#[derive(Debug, Clone)]
-pub struct LedgerPlan<B: Budget> {
-    budget: B,
-}
-
-impl<D: AbstractDp, B: Budget> AccountantPlan<D, B> for LedgerPlan<B> {
-    type Built = Ledger<D, B>;
-    fn build_accountant(self, _lanes: usize) -> Ledger<D, B> {
-        Ledger::with_budget(self.budget)
-    }
-}
-
-/// Plan for a global [`RdpMeter`] (see [`SessionBuilder::rdp`]).
-#[derive(Debug, Clone, Copy)]
-pub struct RdpPlan {
-    delta: f64,
-    budget_eps: f64,
-}
-
-impl<D: AbstractDp, B: Budget> AccountantPlan<D, B> for RdpPlan {
-    type Built = RdpMeter<B>;
-    fn build_accountant(self, _lanes: usize) -> RdpMeter<B> {
-        RdpMeter::new(self.delta, self.budget_eps)
-    }
-}
-
-/// Plan for an in-memory per-principal [`BudgetRegistry`] with one lock
-/// shard per executor lane (see [`SessionBuilder::registry`]).
-#[derive(Debug, Clone)]
-pub struct RegistryPlan<B: Budget> {
-    per_principal: B,
-}
-
-impl<D: AbstractDp, B: Budget> AccountantPlan<D, B> for RegistryPlan<B> {
-    type Built = BudgetRegistry<D, B>;
-    fn build_accountant(self, lanes: usize) -> BudgetRegistry<D, B> {
-        BudgetRegistry::with_budget(self.per_principal, lanes)
-    }
-}
-
-/// How many lock shards a [`SessionBuilder::durable`] registry spreads
-/// its principals over. Purely a contention knob — durable charges
-/// commit through the journal's group-commit queue anyway, so the shard
-/// count only affects journal-free reads; callers who care use
-/// [`DurableRegistry::open_with_options`] directly.
-const DURABLE_LOCK_SHARDS: usize = 8;
-
-/// Plan holding an already-opened [`DurableRegistry`]. Opening — and
-/// therefore crash recovery — happens at the [`SessionBuilder::durable`]
-/// / [`SessionBuilder::durable_with_options`] step, where the I/O error
-/// has a `Result` to surface through;
-/// [`build_per_principal`](SessionBuilder::build_per_principal) itself
-/// stays infallible.
-pub struct DurablePlan<D: AbstractDp, B: Budget, S: JournalStorage> {
-    registry: DurableRegistry<D, B, S>,
-}
-
-impl<D: AbstractDp, B: Budget, S: JournalStorage> std::fmt::Debug for DurablePlan<D, B, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurablePlan")
-            .field("registry", &self.registry)
-            .finish()
-    }
-}
-
-impl<D: AbstractDp, B: Budget, S: JournalStorage> AccountantPlan<D, B> for DurablePlan<D, B, S> {
-    type Built = DurableRegistry<D, B, S>;
-    fn build_accountant(self, _lanes: usize) -> DurableRegistry<D, B, S> {
-        self.registry
-    }
-}
+/// How many lock shards a session's per-principal registry
+/// ([`SessionBuilder::registry`], [`SessionBuilder::durable`]) spreads
+/// its principals over. Purely a contention knob — a session charges on
+/// its own thread, and durable charges commit through the journal's
+/// group-commit queue anyway; callers who care build the registry
+/// directly ([`BudgetRegistry::with_budget`],
+/// [`DurableRegistry::open_with_options`]).
+const LOCK_SHARDS: usize = 8;
 
 /// The typestate builder behind [`Session::builder`]; see the
 /// module-level docs above for the axes and an example.
 ///
 /// Type parameters track the choices made so far: `B` the budget carrier,
-/// `A` the accountant plan (or [`NoAccountant`]), `X` the executor choice
+/// `A` the accountant (or [`NoAccountant`]), `X` the executor choice
 /// (or [`NoExecutor`]). [`build`](Self::build) only exists once an
 /// accountant and an executor are chosen.
 #[derive(Debug)]
@@ -1276,13 +1128,17 @@ impl<D: AbstractDp, B: Budget, A, X> SessionBuilder<D, B, A, X> {
         self.ingress = gauge;
         self
     }
-}
 
-impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, NoAccountant, X> {
-    fn with_accountant<A2>(self, accountant: A2) -> SessionBuilder<D, B, A2, X> {
+    /// The same builder with the carrier, accountant and executor states
+    /// mapped by `f`; every other choice carries over.
+    fn map<B2: Budget, A2, X2>(
+        self,
+        f: impl FnOnce(A, X) -> (A2, X2),
+    ) -> SessionBuilder<D, B2, A2, X2> {
+        let (accountant, executor) = f(self.accountant, self.executor);
         SessionBuilder {
             accountant,
-            executor: self.executor,
+            executor,
             entropy: self.entropy,
             admission: self.admission,
             ingress: self.ingress,
@@ -1290,28 +1146,15 @@ impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, NoAccountant, X> {
             _carrier: PhantomData,
         }
     }
+}
 
+impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, NoAccountant, X> {
     /// Switches the budget carrier to the exact dyadic lattice
     /// ([`Dyadic`](sampcert_arith::Dyadic)): gcd-free exact accounting,
     /// strict acceptance. Must precede the accountant choice (the carrier
     /// lives inside the accountant's type).
     pub fn exact(self) -> SessionBuilder<D, sampcert_arith::Dyadic, NoAccountant, X> {
-        self.carrier::<sampcert_arith::Dyadic>()
-    }
-
-    /// Switches to an arbitrary budget carrier (`f64` is the default;
-    /// [`exact`](Self::exact) is the shorthand for
-    /// [`Dyadic`](sampcert_arith::Dyadic)).
-    pub fn carrier<B2: Budget>(self) -> SessionBuilder<D, B2, NoAccountant, X> {
-        SessionBuilder {
-            accountant: NoAccountant,
-            executor: self.executor,
-            entropy: self.entropy,
-            admission: self.admission,
-            ingress: self.ingress,
-            _notion: PhantomData,
-            _carrier: PhantomData,
-        }
+        self.map(|_, x| (NoAccountant, x))
     }
 
     /// A global [`Ledger`] with the given budget (converted into the
@@ -1320,23 +1163,29 @@ impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, NoAccountant, X> {
     /// # Panics
     ///
     /// Panics if `budget` is negative or not finite.
-    pub fn ledger(self, budget: f64) -> SessionBuilder<D, B, LedgerPlan<B>, X> {
-        assert!(budget.is_finite() && budget >= 0.0, "invalid budget");
-        self.ledger_exact(B::budget_from_f64(budget))
+    pub fn ledger(self, budget: f64) -> SessionBuilder<D, B, Ledger<D, B>, X> {
+        self.map(|_, x| (Ledger::new(budget), x))
     }
 
     /// [`ledger`](Self::ledger) with the budget already in the carrier —
     /// the lossless entry point for exact budgets.
-    pub fn ledger_exact(self, budget: B) -> SessionBuilder<D, B, LedgerPlan<B>, X> {
-        assert!(budget.is_valid(), "invalid budget");
-        self.with_accountant(LedgerPlan { budget })
+    ///
+    /// # Panics
+    ///
+    /// Panics if `budget` is not a valid budget quantity.
+    pub fn ledger_exact(self, budget: B) -> SessionBuilder<D, B, Ledger<D, B>, X> {
+        self.map(|_, x| (Ledger::with_budget(budget), x))
     }
 
     /// A global [`RdpMeter`] enforcing `ε ≤ budget_eps` at `delta`.
     /// Requires the notion to have a full Rényi curve ([`RdpCurve`]:
     /// [`PureDp`] or [`Zcdp`]).
-    pub fn rdp(self, delta: f64, budget_eps: f64) -> SessionBuilder<D, B, RdpPlan, X> {
-        self.with_accountant(RdpPlan { delta, budget_eps })
+    ///
+    /// # Panics
+    ///
+    /// As [`RdpMeter::new`].
+    pub fn rdp(self, delta: f64, budget_eps: f64) -> SessionBuilder<D, B, RdpMeter<B>, X> {
+        self.map(|_, x| (RdpMeter::new(delta, budget_eps), x))
     }
 
     /// A per-principal [`BudgetRegistry`]: every principal (user id)
@@ -1349,23 +1198,22 @@ impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, NoAccountant, X> {
     /// # Panics
     ///
     /// Panics if `per_principal` is negative or not finite.
-    pub fn registry(self, per_principal: f64) -> SessionBuilder<D, B, RegistryPlan<B>, X> {
-        assert!(
-            per_principal.is_finite() && per_principal >= 0.0,
-            "invalid budget"
-        );
-        self.registry_exact(B::budget_from_f64(per_principal))
+    pub fn registry(self, per_principal: f64) -> SessionBuilder<D, B, BudgetRegistry<D, B>, X> {
+        self.map(|_, x| (BudgetRegistry::new(per_principal, LOCK_SHARDS), x))
     }
 
     /// [`registry`](Self::registry) with the allowance already in the
     /// carrier — the lossless entry point for exact budgets.
-    pub fn registry_exact(self, per_principal: B) -> SessionBuilder<D, B, RegistryPlan<B>, X> {
-        assert!(per_principal.is_valid(), "invalid budget");
-        self.with_accountant(RegistryPlan { per_principal })
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_principal` is not a valid budget quantity.
+    pub fn registry_exact(self, per_principal: B) -> SessionBuilder<D, B, BudgetRegistry<D, B>, X> {
+        self.map(|_, x| (BudgetRegistry::with_budget(per_principal, LOCK_SHARDS), x))
     }
 }
 
-impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, RegistryPlan<B>, X> {
+impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, BudgetRegistry<D, B>, X> {
     /// Upgrades the in-memory registry to a [`DurableRegistry`] backed by
     /// a write-ahead charge journal at `path`: created (with a synced
     /// header) if absent, **replayed** if present — so crash recovery
@@ -1385,7 +1233,7 @@ impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, RegistryPlan<B>, X> {
     pub fn durable(
         self,
         path: impl AsRef<std::path::Path>,
-    ) -> Result<SessionBuilder<D, B, DurablePlan<D, B, FileStorage>, X>, RecoveryError> {
+    ) -> Result<SessionBuilder<D, B, DurableRegistry<D, B, FileStorage>, X>, RecoveryError> {
         let storage = FileStorage::open(path).map_err(RecoveryError::Io)?;
         self.durable_with_options(storage, DurableOptions::default())
     }
@@ -1405,22 +1253,14 @@ impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, RegistryPlan<B>, X> {
         self,
         storage: S,
         options: DurableOptions,
-    ) -> Result<SessionBuilder<D, B, DurablePlan<D, B, S>, X>, RecoveryError> {
+    ) -> Result<SessionBuilder<D, B, DurableRegistry<D, B, S>, X>, RecoveryError> {
         let (registry, _report) = DurableRegistry::open_with_options(
-            self.accountant.per_principal,
-            DURABLE_LOCK_SHARDS,
+            self.accountant.per_principal_budget().clone(),
+            LOCK_SHARDS,
             storage,
             options,
         )?;
-        Ok(SessionBuilder {
-            accountant: DurablePlan { registry },
-            executor: self.executor,
-            entropy: self.entropy,
-            admission: self.admission,
-            ingress: self.ingress,
-            _notion: PhantomData,
-            _carrier: PhantomData,
-        })
+        Ok(self.map(|_, x| (registry, x)))
     }
 }
 
@@ -1430,55 +1270,42 @@ impl<D: AbstractDp, B: Budget, A> SessionBuilder<D, B, A, NoExecutor> {
         self.executor::<Inline>(1)
     }
 
-    /// Any [`SpawnExecutor`] backend, spawned with (up to) `lanes` lanes
-    /// at build time — e.g. `.executor::<RtExecutor>(8)` for the
+    /// Any [`Executor`] backend, spawned with (up to) `lanes` lanes at
+    /// build time — e.g. `.executor::<RtExecutor>(8)` for the
     /// `sampcert-rt` draw pool. A `lanes` of zero is clamped to one.
-    pub fn executor<E: SpawnExecutor>(self, lanes: usize) -> SessionBuilder<D, B, A, Planned<E>> {
-        SessionBuilder {
-            accountant: self.accountant,
-            executor: Planned {
-                lanes: lanes.max(1),
-                _exec: PhantomData,
-            },
-            entropy: self.entropy,
-            admission: self.admission,
-            ingress: self.ingress,
-            _notion: PhantomData,
-            _carrier: PhantomData,
-        }
+    pub fn executor<E: Executor>(self, lanes: usize) -> SessionBuilder<D, B, A, Planned<E>> {
+        let planned = Planned {
+            lanes: lanes.max(1),
+            _exec: PhantomData,
+        };
+        self.map(|a, _| (a, planned))
     }
 }
 
-impl<D: AbstractDp, B: Budget, P, E> SessionBuilder<D, B, P, Planned<E>>
-where
-    P: AccountantPlan<D, B>,
-    E: SpawnExecutor,
-    P::Built: Accountant<D, B>,
-{
-    /// Spawns the executor, sizes the accountant to its actual lane
-    /// count, and returns the ready session. Only defined for global
-    /// accountants; per-principal ones build with
-    /// [`build_per_principal`](Self::build_per_principal).
-    pub fn build(self) -> Session<D, B, P::Built, E> {
-        let executor = E::spawn(self.entropy, self.executor.lanes);
-        let lanes = executor.lanes();
+impl<D: AbstractDp, B: Budget, A, E: Executor> SessionBuilder<D, B, A, Planned<E>> {
+    /// Spawns the executor with the chosen entropy and assembles the
+    /// session.
+    fn finish(self) -> Session<D, B, A, E> {
         Session {
-            accountant: self.accountant.build_accountant(lanes),
-            executor,
+            executor: E::spawn(self.entropy, self.executor.lanes),
+            accountant: self.accountant,
             admission: self.admission,
             ingress: self.ingress,
             _notion: PhantomData,
             _carrier: PhantomData,
         }
     }
-}
 
-impl<D: AbstractDp, B: Budget, P, E> SessionBuilder<D, B, P, Planned<E>>
-where
-    P: AccountantPlan<D, B>,
-    E: SpawnExecutor,
-    P::Built: PrincipalAccountant<D, B>,
-{
+    /// Spawns the executor and returns the ready session. Only defined
+    /// for global accountants; per-principal ones build with
+    /// [`build_per_principal`](Self::build_per_principal).
+    pub fn build(self) -> Session<D, B, A, E>
+    where
+        A: Accountant<D, B>,
+    {
+        self.finish()
+    }
+
     /// [`build`](Self::build) for per-principal sessions
     /// ([`SessionBuilder::registry`] / [`SessionBuilder::durable`]):
     /// every serve names the principal it charges
@@ -1486,17 +1313,11 @@ where
     /// [`Session::answer`] does not exist on the built session, and
     /// `build_per_principal` does not exist on global-accountant builders
     /// — the request surface always matches the accounting granularity.
-    pub fn build_per_principal(self) -> Session<D, B, P::Built, E> {
-        let executor = E::spawn(self.entropy, self.executor.lanes);
-        let lanes = executor.lanes();
-        Session {
-            accountant: self.accountant.build_accountant(lanes),
-            executor,
-            admission: self.admission,
-            ingress: self.ingress,
-            _notion: PhantomData,
-            _carrier: PhantomData,
-        }
+    pub fn build_per_principal(self) -> Session<D, B, A, E>
+    where
+        A: PrincipalAccountant<D, B>,
+    {
+        self.finish()
     }
 }
 
@@ -1588,7 +1409,7 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
     ///
     /// # Errors
     ///
-    /// See [`Accountant::serve_into`]; a refusal spends nothing,
+    /// See [`stream_into`](Self::stream_into); a refusal spends nothing,
     /// releases nothing and consumes no entropy.
     pub fn answer<T: Sync + 'static, U: Value>(
         &mut self,
@@ -1599,11 +1420,8 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         A: Accountant<D, B>,
     {
         let mut out = Vec::with_capacity(1);
-        self.accountant
-            .serve_into(&mut self.executor, req, db, 1, &mut out)?;
-        out.pop().ok_or_else(|| {
-            SessionError::Executor(ExecutorFailure::new("executor returned no answer"))
-        })
+        self.stream_into(req, db, 1, &mut out)?;
+        out.pop().ok_or_else(no_answer)
     }
 
     /// Charges and serves `n` independent answers of `req` on `db` — one
@@ -1612,8 +1430,8 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
     ///
     /// # Errors
     ///
-    /// See [`Accountant::serve_into`]. All-or-nothing: the batch is one
-    /// charge.
+    /// See [`stream_into`](Self::stream_into). All-or-nothing: the batch
+    /// is one charge.
     pub fn answer_many<T: Sync + 'static, U: Value>(
         &mut self,
         req: &Request<D, T, U>,
@@ -1624,18 +1442,21 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         A: Accountant<D, B>,
     {
         let mut out = Vec::with_capacity(n);
-        self.accountant
-            .serve_into(&mut self.executor, req, db, n, &mut out)?;
+        self.stream_into(req, db, n, &mut out)?;
         Ok(out)
     }
 
     /// [`answer_many`](Self::answer_many) into a caller-owned buffer —
-    /// the reserve-once, buffer-reusing form for long serving loops.
+    /// the reserve-once, buffer-reusing form for long serving loops, and
+    /// the one charge-then-draw step every global serve runs: charge `n`
+    /// answers of `req` as one [`Accountant::charge`], and only if the
+    /// whole batch fits, draw them through the executor.
     ///
     /// # Errors
     ///
-    /// See [`answer_many`](Self::answer_many); `out` is untouched on
-    /// refusal.
+    /// [`SessionError::Budget`] when the batch does not fit (or its unit
+    /// count overflows a `u64`), [`SessionError::Executor`] when the
+    /// backend cannot serve. `out` is untouched on refusal.
     pub fn stream_into<T: Sync + 'static, U: Value>(
         &mut self,
         req: &Request<D, T, U>,
@@ -1646,8 +1467,10 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
     where
         A: Accountant<D, B>,
     {
+        let units = batch_units(req, n, None)?;
         self.accountant
-            .serve_into(&mut self.executor, req, db, n, out)
+            .charge(req.label(), req.gamma_unit(), units)?;
+        Ok(self.executor.run_into(req.mechanism(), db, n, out)?)
     }
 
     /// Charges one answer of `req` to `principal` and serves it — the
@@ -1656,8 +1479,8 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
     ///
     /// # Errors
     ///
-    /// See [`PrincipalAccountant::serve_for_into`]; a refusal (budget or
-    /// journal) releases nothing and consumes no entropy.
+    /// See [`stream_into_for`](Self::stream_into_for); a refusal (budget
+    /// or journal) releases nothing and consumes no entropy.
     pub fn answer_for<T: Sync + 'static, U: Value>(
         &mut self,
         principal: u64,
@@ -1668,11 +1491,8 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         A: PrincipalAccountant<D, B>,
     {
         let mut out = Vec::with_capacity(1);
-        self.accountant
-            .serve_for_into(&mut self.executor, principal, req, db, 1, &mut out)?;
-        out.pop().ok_or_else(|| {
-            SessionError::Executor(ExecutorFailure::new("executor returned no answer"))
-        })
+        self.stream_into_for(principal, req, db, 1, &mut out)?;
+        out.pop().ok_or_else(no_answer)
     }
 
     /// Charges `n` answers of `req` to `principal` as one batched
@@ -1681,7 +1501,7 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
     ///
     /// # Errors
     ///
-    /// See [`PrincipalAccountant::serve_for_into`].
+    /// See [`stream_into_for`](Self::stream_into_for).
     pub fn answer_many_for<T: Sync + 'static, U: Value>(
         &mut self,
         principal: u64,
@@ -1693,17 +1513,23 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         A: PrincipalAccountant<D, B>,
     {
         let mut out = Vec::with_capacity(n);
-        self.accountant
-            .serve_for_into(&mut self.executor, principal, req, db, n, &mut out)?;
+        self.stream_into_for(principal, req, db, n, &mut out)?;
         Ok(out)
     }
 
     /// [`answer_many_for`](Self::answer_many_for) into a caller-owned
-    /// buffer; `out` is untouched on refusal.
+    /// buffer — the one charge-then-draw step every per-principal serve
+    /// runs: charge `n` answers of `req` to `principal` as one
+    /// [`PrincipalAccountant::charge_for`] (for durable registries, only
+    /// once the charge is durably journaled), then draw them.
     ///
     /// # Errors
     ///
-    /// See [`PrincipalAccountant::serve_for_into`].
+    /// [`SessionError::Budget`] when the batch does not fit the
+    /// principal's allowance (or its unit count overflows a `u64`),
+    /// [`SessionError::Journal`] when a durable registry cannot journal
+    /// the charge (degrade-to-reject), [`SessionError::Executor`] when
+    /// the backend cannot serve. `out` is untouched on refusal.
     pub fn stream_into_for<T: Sync + 'static, U: Value>(
         &mut self,
         principal: u64,
@@ -1715,44 +1541,43 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
     where
         A: PrincipalAccountant<D, B>,
     {
+        let units = batch_units(req, n, Some(principal))?;
         self.accountant
-            .serve_for_into(&mut self.executor, principal, req, db, n, out)
+            .charge_for(principal, req.gamma_unit(), units)?;
+        Ok(self.executor.run_into(req.mechanism(), db, n, out)?)
     }
 
     /// The future-returning twin of [`answer`](Self::answer), with
-    /// admission control. The [`AdmissionPolicy`] is evaluated here, at
-    /// construction — **before any charge** — and a rejected request
-    /// resolves to [`SessionError::QueueFull`] / [`SessionError::Shed`]
-    /// having spent nothing and consumed no entropy. An admitted
-    /// request's first poll runs the exact synchronous
-    /// [`answer`](Self::answer) path (charge-before-serve preserved), so
-    /// the released bytes and recorded charges are identical to the
-    /// synchronous surface (pinned by `tests/admission.rs`).
+    /// admission control. The [`AdmissionPolicy`] is evaluated here, when
+    /// the future is built — **before any charge** — and a rejected
+    /// request resolves to [`SessionError::QueueFull`] /
+    /// [`SessionError::Shed`] having spent nothing and consumed no
+    /// entropy. An admitted request's first poll runs the exact
+    /// synchronous [`answer`](Self::answer) path (charge-before-serve
+    /// preserved), so the released bytes and recorded charges are
+    /// identical to the synchronous surface (pinned by
+    /// `tests/admission.rs`).
     ///
-    /// The returned future is `Unpin`, completes on its first poll, and
-    /// never returns `Poll::Pending` — all the work is synchronous CPU
-    /// work; the future form exists so requests can be queued, shed, and
-    /// scheduled by a runtime (`sampcert-rt`) between admission and
-    /// service.
+    /// The future completes on its first poll and never returns
+    /// `Poll::Pending` — all the work is synchronous CPU work; the future
+    /// form exists so requests can be queued, shed, and scheduled by a
+    /// runtime (`sampcert-rt`) between admission and service. It is
+    /// `Send` whenever the session is.
     pub fn answer_async<'a, T: Sync + 'static, U: Value>(
         &'a mut self,
         req: &'a Request<D, T, U>,
         db: &'a [T],
-    ) -> AnswerFuture<'a, D, B, A, E, T, U>
+    ) -> impl Future<Output = Result<U, SessionError<B>>> + 'a
     where
-        A: Accountant<D, B> + Admission<D, B>,
+        A: Accountant<D, B>,
     {
         let servable = !self.admission.sheds_unservable()
             || self.accountant.can_admit(req.gamma_unit(), req.units());
-        let state = match self.admission_gate(servable, req.label()) {
-            Err(e) => AnswerState::Rejected(e),
-            Ok(()) => AnswerState::Serve {
-                session: self,
-                req,
-                db,
-            },
-        };
-        AnswerFuture { state }
+        let admitted = self.admission_gate(servable, req.label());
+        async move {
+            admitted?;
+            self.answer(req, db)
+        }
     }
 
     /// The future-returning twin of [`answer_for`](Self::answer_for) —
@@ -1765,114 +1590,44 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> Session<D, B, A, E> {
         principal: u64,
         req: &'a Request<D, T, U>,
         db: &'a [T],
-    ) -> AnswerForFuture<'a, D, B, A, E, T, U>
+    ) -> impl Future<Output = Result<U, SessionError<B>>> + 'a
     where
-        A: PrincipalAccountant<D, B> + PrincipalAdmission<D, B>,
+        A: PrincipalAccountant<D, B>,
     {
         let servable = !self.admission.sheds_unservable()
             || self
                 .accountant
                 .can_admit_for(principal, req.gamma_unit(), req.units());
-        let state = match self.admission_gate(servable, req.label()) {
-            Err(e) => AnswerForState::Rejected(e),
-            Ok(()) => AnswerForState::Serve {
-                session: self,
-                principal,
-                req,
-                db,
-            },
-        };
-        AnswerForFuture { state }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Answer futures
-// ---------------------------------------------------------------------------
-
-enum AnswerState<'a, D: AbstractDp, B: Budget, A, E, T, U: Value> {
-    Rejected(SessionError<B>),
-    Serve {
-        session: &'a mut Session<D, B, A, E>,
-        req: &'a Request<D, T, U>,
-        db: &'a [T],
-    },
-    Done,
-}
-
-/// The future returned by [`Session::answer_async`]. Admission already
-/// ran at construction; the first poll runs charge-then-serve and
-/// resolves — see [`Session::answer_async`] for the contract.
-pub struct AnswerFuture<'a, D: AbstractDp, B: Budget, A, E, T, U: Value> {
-    state: AnswerState<'a, D, B, A, E, T, U>,
-}
-
-// The future holds only references and an error value and is never
-// self-referential, so it is trivially Unpin regardless of whether the
-// carrier/accountant types are.
-impl<D: AbstractDp, B: Budget, A, E, T, U: Value> Unpin for AnswerFuture<'_, D, B, A, E, T, U> {}
-
-impl<D: AbstractDp, B: Budget, A, E, T, U> Future for AnswerFuture<'_, D, B, A, E, T, U>
-where
-    E: Executor,
-    A: Accountant<D, B>,
-    T: Sync + 'static,
-    U: Value,
-{
-    type Output = Result<U, SessionError<B>>;
-
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        match std::mem::replace(&mut this.state, AnswerState::Done) {
-            AnswerState::Rejected(e) => Poll::Ready(Err(e)),
-            AnswerState::Serve { session, req, db } => Poll::Ready(session.answer(req, db)),
-            AnswerState::Done => panic!("AnswerFuture polled after completion"),
+        let admitted = self.admission_gate(servable, req.label());
+        async move {
+            admitted?;
+            self.answer_for(principal, req, db)
         }
     }
 }
 
-enum AnswerForState<'a, D: AbstractDp, B: Budget, A, E, T, U: Value> {
-    Rejected(SessionError<B>),
-    Serve {
-        session: &'a mut Session<D, B, A, E>,
-        principal: u64,
-        req: &'a Request<D, T, U>,
-        db: &'a [T],
-    },
-    Done,
+/// The unit count of `n` answers of `req` (`n × units per answer`),
+/// computed once for the batch's one charge. A count that overflows a
+/// `u64` is refused as a budget refusal (attributed to `principal`, if
+/// any) — no accountant could admit it. `requested` is the batch's
+/// composed cost; the accountant is not consulted, so `remaining` reads
+/// zero.
+fn batch_units<D: AbstractDp, B: Budget, T: 'static, U: Value>(
+    req: &Request<D, T, U>,
+    n: usize,
+    principal: Option<u64>,
+) -> Result<u64, SessionError<B>> {
+    (n as u64).checked_mul(req.units()).ok_or_else(|| {
+        let per_answer = B::compose_n::<D>(&B::charge_from_f64(req.gamma_unit()), req.units());
+        let mut refusal = BudgetExceeded::new(per_answer.scale(n as u64), B::zero());
+        refusal.principal = principal;
+        SessionError::Budget(refusal)
+    })
 }
 
-/// The future returned by [`Session::answer_for_async`] — the
-/// per-principal twin of [`AnswerFuture`], with the same
-/// admission-at-construction / serve-on-first-poll contract.
-pub struct AnswerForFuture<'a, D: AbstractDp, B: Budget, A, E, T, U: Value> {
-    state: AnswerForState<'a, D, B, A, E, T, U>,
-}
-
-impl<D: AbstractDp, B: Budget, A, E, T, U: Value> Unpin for AnswerForFuture<'_, D, B, A, E, T, U> {}
-
-impl<D: AbstractDp, B: Budget, A, E, T, U> Future for AnswerForFuture<'_, D, B, A, E, T, U>
-where
-    E: Executor,
-    A: PrincipalAccountant<D, B>,
-    T: Sync + 'static,
-    U: Value,
-{
-    type Output = Result<U, SessionError<B>>;
-
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        match std::mem::replace(&mut this.state, AnswerForState::Done) {
-            AnswerForState::Rejected(e) => Poll::Ready(Err(e)),
-            AnswerForState::Serve {
-                session,
-                principal,
-                req,
-                db,
-            } => Poll::Ready(session.answer_for(principal, req, db)),
-            AnswerForState::Done => panic!("AnswerForFuture polled after completion"),
-        }
-    }
+/// The refusal for an executor that reported success but drew nothing.
+fn no_answer<B: Budget>() -> SessionError<B> {
+    SessionError::Executor(ExecutorFailure::new("executor returned no answer"))
 }
 
 #[cfg(test)]
@@ -2022,16 +1777,16 @@ mod tests {
 
     /// Drives a ready-on-first-poll future to completion without a
     /// runtime (the core crate cannot depend on `sampcert-rt`).
-    fn poll_once<F: Future + Unpin>(mut fut: F) -> F::Output {
+    fn poll_once<F: Future>(fut: F) -> F::Output {
         struct NoopWake;
         impl std::task::Wake for NoopWake {
             fn wake(self: Arc<Self>) {}
         }
         let waker = std::task::Waker::from(Arc::new(NoopWake));
-        let mut cx = Context::from_waker(&waker);
-        match Pin::new(&mut fut).poll(&mut cx) {
-            Poll::Ready(out) => out,
-            Poll::Pending => unreachable!("answer futures resolve on first poll"),
+        let mut cx = std::task::Context::from_waker(&waker);
+        match std::pin::pin!(fut).poll(&mut cx) {
+            std::task::Poll::Ready(out) => out,
+            std::task::Poll::Pending => unreachable!("answer futures resolve on first poll"),
         }
     }
 

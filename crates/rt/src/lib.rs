@@ -23,7 +23,7 @@
 //!   backlog.
 //! - [`RtExecutor`] — the draw-plane backend: fixed contiguous lanes
 //!   with persistent per-lane byte streams, implementing the core
-//!   `Executor`/`SpawnExecutor` traits. The draw plane does **not**
+//!   `Executor` trait. The draw plane does **not**
 //!   steal (see [`pool`]) — determinism pins each chunk to its lane;
 //!   elasticity lives in the runtime above.
 //!

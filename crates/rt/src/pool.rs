@@ -24,7 +24,7 @@
 //! batch before [`Executor::run_into`] is called, so a refused request
 //! never reaches a lane.
 
-use sampcert_core::{Entropy, Executor, ExecutorFailure, Mechanism, SpawnExecutor};
+use sampcert_core::{Entropy, Executor, ExecutorFailure, Mechanism};
 use sampcert_slang::{ByteSource, OsByteSource, Value};
 
 /// One draw lane: a persistent byte stream owned by this executor and
@@ -94,7 +94,13 @@ impl RtExecutor {
     }
 }
 
+/// `spawn` lets `SessionBuilder::executor::<RtExecutor>(lanes)` build the
+/// draw pool straight from the session's entropy choice.
 impl Executor for RtExecutor {
+    fn spawn(entropy: Entropy, lanes: usize) -> Self {
+        RtExecutor::new(entropy, lanes)
+    }
+
     fn lanes(&self) -> usize {
         self.lanes.len()
     }
@@ -116,14 +122,6 @@ impl Executor for RtExecutor {
             out.extend(part);
         }
         Ok(())
-    }
-}
-
-/// Lets `SessionBuilder::executor::<RtExecutor>(lanes)` spawn the draw
-/// pool straight from the session's entropy choice.
-impl SpawnExecutor for RtExecutor {
-    fn spawn(entropy: Entropy, lanes: usize) -> Self {
-        RtExecutor::new(entropy, lanes)
     }
 }
 

@@ -79,3 +79,9 @@ pub use sampcert_stattest as stattest;
 // intended first touch of the API (the full set of session types stays in
 // [`core`]).
 pub use sampcert_core::{Entropy, Request, Session, SessionError};
+
+/// The README's ```` ```rust ```` blocks, compiled and run as doctests so
+/// a stale snippet fails the test suite.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

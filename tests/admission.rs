@@ -19,11 +19,19 @@
 //!   builder chain (both carriers × every accountant × the inline
 //!   executor and the runtime crate's pooled `RtExecutor`), and
 //!   `answer_for_async` likewise matches `answer_for` on per-principal
-//!   sessions.
+//!   sessions;
+//! - the probe/charge agreement proptest: on every accountant and both
+//!   carriers, `can_admit` / `can_admit_for` is true exactly when the
+//!   charge that follows succeeds, so a budget shed refuses exactly what
+//!   the charge would have refused;
+//! - a compile-time check that the async futures are `Send` on the
+//!   stacks that serve them from runtime tasks.
 
 use proptest::prelude::*;
 use sampcert::core::{
-    count_query, AdmissionPolicy, Private, PureDp, Request, Session, SessionError,
+    count_query, Accountant, AdmissionPolicy, Budget, BudgetRegistry, DurableOptions,
+    DurableRegistry, Dyadic, Ledger, MemStorage, PrincipalAccountant, Private, PureDp, RdpMeter,
+    Request, Session, SessionError,
 };
 use sampcert::rt::{block_on, Ingress, RtExecutor};
 
@@ -344,4 +352,145 @@ fn answer_for_async_equals_answer_for() {
             "principal {p}"
         );
     }
+}
+
+/// A per-unit γ for the probe/charge property: dyadic eighths, the
+/// non-dyadic tenths, and steps of 10⁻¹³ that land inside the `f64`
+/// carrier's `1e-12` acceptance tolerance, so both carriers' rounding
+/// meets the budget boundary.
+fn unit_gamma(k: u64, scale: u64) -> f64 {
+    k as f64 * [0.125, 0.1, 1e-13][scale as usize % 3]
+}
+
+/// One probe-then-charge round on a global accountant: `can_admit` must
+/// predict exactly whether the charge that follows succeeds.
+fn global_probe_agrees<B: Budget, A: Accountant<PureDp, B>>(
+    acct: &mut A,
+    gamma: f64,
+    units: u64,
+    what: &str,
+) {
+    let probe = acct.can_admit(gamma, units);
+    let charged = acct.charge("probe", gamma, units).is_ok();
+    prop_assert_eq!(
+        probe,
+        charged,
+        "{} [{}]: {} x {}",
+        what,
+        B::NAME,
+        units,
+        gamma
+    );
+}
+
+/// [`global_probe_agrees`] for a per-principal accountant.
+fn principal_probe_agrees<B: Budget, A: PrincipalAccountant<PureDp, B>>(
+    acct: &mut A,
+    principal: u64,
+    gamma: f64,
+    units: u64,
+    what: &str,
+) {
+    let probe = acct.can_admit_for(principal, gamma, units);
+    let charged = acct.charge_for(principal, gamma, units).is_ok();
+    prop_assert_eq!(
+        probe,
+        charged,
+        "{} [{}]: {} x {}",
+        what,
+        B::NAME,
+        units,
+        gamma
+    );
+}
+
+/// Every accountant on carrier `B` with a budget of 1, driven through
+/// the same probe-then-charge `steps` from a prior spend of `prior`.
+/// The global accountants charge the prior (and stay empty if it does
+/// not fit); the registries replay it unchecked, which can leave a
+/// principal over its allowance, as a conservative journal replay can.
+fn probe_agrees_on_carrier<B: Budget>(prior: f64, steps: &[(f64, u64)]) {
+    let mut ledger = Ledger::<PureDp, B>::new(1.0);
+    let _ = ledger.charge("prior", prior);
+    let mut meter = RdpMeter::<B>::new(1e-6, 4.0);
+    let _ = Accountant::<PureDp, B>::charge(&mut meter, "prior", prior, 1);
+    let mut registry = BudgetRegistry::<PureDp, B>::new(1.0, 4);
+    registry.apply_unchecked(7, &B::charge_from_f64(prior));
+    // Journal the prior under a larger allowance, then recover the
+    // journal under the real one.
+    let storage = MemStorage::new();
+    let open = |storage: MemStorage, budget: f64| {
+        DurableRegistry::<PureDp, B, MemStorage>::open_with_options(
+            B::budget_from_f64(budget),
+            4,
+            storage,
+            DurableOptions::default(),
+        )
+        .expect("in-memory journal")
+        .0
+    };
+    open(storage.clone(), 4.0)
+        .charge(7, prior)
+        .expect("the prior fits the larger allowance");
+    let mut durable = open(storage.reopen(), 1.0);
+
+    for &(gamma, units) in steps {
+        global_probe_agrees(&mut ledger, gamma, units, "ledger");
+        global_probe_agrees(&mut meter, gamma, units, "rdp");
+        principal_probe_agrees(&mut registry, 7, gamma, units, "registry");
+        principal_probe_agrees(&mut durable, 7, gamma, units, "durable");
+    }
+}
+
+proptest! {
+    /// The admission probe is the charge's own check: for every
+    /// accountant, both carriers and any spend history, `can_admit` /
+    /// `can_admit_for` says yes exactly when the charge that follows
+    /// succeeds. A budget shed therefore refuses exactly the requests
+    /// the charge would refuse — no more, no fewer.
+    #[test]
+    fn can_admit_agrees_with_the_charge_it_predicts(
+        prior_pick in 0usize..5,
+        raw in prop::collection::vec((0u64..12, 0u64..3, 0u64..10), 1..16),
+    ) {
+        // Empty, half spent, exactly spent, spent past the budget within
+        // the f64 carrier's tolerance, and over the allowance.
+        let prior = [0.0, 0.5, 1.0, 1.0 + 5e-13, 1.25][prior_pick];
+        let steps: Vec<(f64, u64)> = raw
+            .iter()
+            .map(|&(k, scale, units)| (unit_gamma(k, scale), units))
+            .collect();
+        probe_agrees_on_carrier::<f64>(prior, &steps);
+        probe_agrees_on_carrier::<Dyadic>(prior, &steps);
+    }
+}
+
+/// The async futures are `Send` on the stacks that serve them from
+/// runtime tasks: a durable exact-carrier per-principal session on the
+/// inline executor (the front door's shape) and a ledger session on the
+/// pooled `RtExecutor`. `assert_send` fails to compile otherwise; the
+/// futures are then driven to completion.
+#[test]
+fn answer_futures_are_send() {
+    fn assert_send<F: Send>(fut: F) -> F {
+        fut
+    }
+    let req = count_req();
+    let db = [7u8; 10];
+    let mut durable = Session::<PureDp>::builder()
+        .exact()
+        .registry(1.0)
+        .durable_with_options(MemStorage::new(), DurableOptions::default())
+        .expect("fresh in-memory journal")
+        .inline()
+        .seeded(5)
+        .build_per_principal();
+    assert!(block_on(assert_send(durable.answer_for_async(1, &req, &db))).is_ok());
+
+    let mut pooled = Session::<PureDp>::builder()
+        .ledger(1.0)
+        .executor::<RtExecutor>(2)
+        .seeded(5)
+        .build();
+    assert!(block_on(assert_send(pooled.answer_async(&req, &db))).is_ok());
 }

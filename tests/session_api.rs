@@ -29,7 +29,7 @@ use sampcert::mechanisms::{
     answer_workload, histogram_batch, histogram_request, svt_request, workload_request, Bins,
     SvtParams,
 };
-use sampcert::rt::RtExecutor;
+use sampcert::rt::{block_on, RtExecutor};
 use sampcert::samplers::{discrete_gaussian_many_into, LaplaceAlg};
 use sampcert::slang::{SplitSeed, Value};
 
@@ -520,4 +520,52 @@ fn executor_trait_is_usable_directly() {
         .unwrap();
     let mut reference = SplitSeed::new(4).stream(0);
     assert_eq!(out, p.run_many(&[1u8, 2], 3, &mut reference));
+}
+
+/// A batch whose unit count (answers × units per answer) overflows a
+/// `u64` is refused as a budget refusal before anything is spent or
+/// drawn. Unchecked, `2 × (2⁶³ + 1)` wraps to 2, and an ε = 1 ledger
+/// would record 2 × 1/4 and release both answers.
+#[test]
+fn overflowing_batch_unit_count_is_refused_not_wrapped() {
+    let p: Private<PureDp, u8, i64> = Private::noised_query(&count_query(), 1, 1);
+    let huge = Request::composite(p.mechanism().clone(), 0.25, (1 << 63) + 1, "wrap");
+    let small = Request::composite(p.mechanism().clone(), 0.25, 1, "small");
+    let db = [1u8, 2];
+    let ledger = || {
+        Session::<PureDp>::builder()
+            .exact()
+            .ledger(1.0)
+            .inline()
+            .seeded(8)
+            .build()
+    };
+    // The first answer a fresh stream serves: what every session below
+    // must still serve after its refusal, if the refusal drew nothing.
+    let first = ledger().answer(&small, &db).unwrap();
+
+    let mut global = ledger();
+    let err = global.answer_many(&huge, &db, 2).unwrap_err();
+    let refusal = err.as_budget().expect("budget refusal");
+    assert!(refusal.requested > Dyadic::from(1u64), "{refusal}");
+    assert_eq!(global.accountant().spent_exact(), &Dyadic::zero());
+    assert_eq!(global.answer(&small, &db).unwrap(), first);
+
+    let mut per_principal = Session::<PureDp>::builder()
+        .exact()
+        .registry(1.0)
+        .inline()
+        .seeded(8)
+        .build_per_principal();
+    let err = per_principal.answer_many_for(3, &huge, &db, 2).unwrap_err();
+    assert_eq!(err.as_budget().expect("budget refusal").principal, Some(3));
+    assert_eq!(per_principal.accountant().spent_exact(3), Dyadic::zero());
+    assert_eq!(per_principal.answer_for(3, &small, &db).unwrap(), first);
+
+    // One answer of 2⁶³ + 1 units does not overflow, and does not fit.
+    let mut async_ = ledger();
+    let err = block_on(async_.answer_async(&huge, &db)).unwrap_err();
+    assert!(err.as_budget().is_some(), "{err:?}");
+    assert_eq!(async_.accountant().spent_exact(), &Dyadic::zero());
+    assert_eq!(block_on(async_.answer_async(&small, &db)).unwrap(), first);
 }
