@@ -255,8 +255,8 @@ impl<D: AbstractDp, B: Budget> Ledger<D, B> {
     }
 
     /// Records a batch of `count` releases, each costing `gamma_each`,
-    /// under one label — the ledger-side half of batched noise serving
-    /// (see [`NoiseBatch`](crate::NoiseBatch)). The batch is composed in
+    /// under one label — a batched [`Session`](crate::Session) serve calls
+    /// it before any of the `count` answers is drawn. The batch is composed in
     /// O(1) via [`Budget::compose_n`] and recorded as a single entry
     /// holding the composed total, so charging a million-draw batch costs
     /// the same as charging one release. On the exact carrier the

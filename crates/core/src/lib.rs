@@ -38,7 +38,6 @@
 mod abstract_dp;
 mod accountant;
 mod approx;
-mod batch;
 mod budget;
 mod convert;
 mod journal;
@@ -53,7 +52,6 @@ mod session;
 pub use abstract_dp::{AbstractDp, PureDp, RenyiDp, Zcdp};
 pub use accountant::{BudgetExceeded, ExactLedger, ExactRdpAccountant, Ledger, RdpAccountant};
 pub use approx::{ApproxBudget, ApproxPrivate};
-pub use batch::NoiseBatch;
 pub use budget::Budget;
 pub use convert::{approx_dp_of, pure_to_renyi, pure_to_zcdp, zcdp_to_renyi};
 pub use journal::{

@@ -20,7 +20,6 @@
 //! base-case obligations the paper proves once and for all.
 
 use crate::abstract_dp::AbstractDp;
-use crate::batch::NoiseBatch;
 use crate::mechanism::Mechanism;
 use crate::neighbour::{is_neighbour, neighbours};
 use crate::noise::DpNoise;
@@ -118,8 +117,9 @@ impl<D: AbstractDp, T: 'static, U: Value> Private<D, T, U> {
     /// Draws `n` independent outputs for `db`, appending them to `out`
     /// (see [`Mechanism::run_many_into`] for the batching contract).
     ///
-    /// Each draw is a separate γ-costing release; prefer
-    /// [`run_batch`](Self::run_batch), which keeps the cost attached.
+    /// Each draw is a separate γ-costing release that this call does not
+    /// meter; serve through a [`Session`](crate::Session), which charges
+    /// all `n` before it draws.
     pub fn run_many_into(&self, db: &[T], n: usize, src: &mut dyn ByteSource, out: &mut Vec<U>) {
         self.mech.run_many_into(db, n, src, out);
     }
@@ -127,13 +127,6 @@ impl<D: AbstractDp, T: 'static, U: Value> Private<D, T, U> {
     /// Draws `n` independent outputs for `db`.
     pub fn run_many(&self, db: &[T], n: usize, src: &mut dyn ByteSource) -> Vec<U> {
         self.mech.run_many(db, n, src)
-    }
-
-    /// Draws `n` independent outputs for `db` as a [`NoiseBatch`]: the
-    /// answers together with this mechanism's per-answer γ, ready to be
-    /// charged to a ledger or accountant in O(1).
-    pub fn run_batch(&self, db: &[T], n: usize, src: &mut dyn ByteSource) -> NoiseBatch<D, U> {
-        NoiseBatch::new(self.mech.run_many(db, n, src), self.gamma)
     }
 
     /// The analytic output distribution for `db`.
@@ -435,21 +428,6 @@ mod tests {
         assert!((p.gamma() - 0.125).abs() < 1e-12);
         p.check_neighbourhood(&dbs(), &[0], CheckOptions::default())
             .expect("zCDP noised count within ρ");
-    }
-
-    #[test]
-    fn run_batch_carries_gamma_and_matches_sequential_runs() {
-        use sampcert_slang::CountingByteSource;
-        let p: Private<PureDp, u8, i64> = Private::noised_query(&count_query(), 1, 4);
-        let db = [0u8; 8];
-        let mut seq_src = CountingByteSource::new(SeededByteSource::new(3));
-        let seq: Vec<i64> = (0..100).map(|_| p.run(&db, &mut seq_src)).collect();
-        let mut batch_src = CountingByteSource::new(SeededByteSource::new(3));
-        let batch = p.run_batch(&db, 100, &mut batch_src);
-        assert_eq!(batch.values(), &seq[..]);
-        assert_eq!(batch_src.bytes_read(), seq_src.bytes_read());
-        assert_eq!(batch.gamma_each(), p.gamma());
-        assert!((batch.gamma_total() - 25.0).abs() < 1e-9); // 100 × ε/4
     }
 
     #[test]

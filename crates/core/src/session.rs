@@ -2,7 +2,7 @@
 //! accountant × executor × entropy combination.
 //!
 //! The serving surface varies along three independent axes — batching
-//! (`run_many`/`run_batch`), exact carriers
+//! ([`Session::answer_many`]), exact carriers
 //! (`charge_exact`/[`ExactLedger`](crate::ExactLedger)) and concurrency
 //! (a pooled executor's draw lanes). A [`Session`] closes the
 //! configuration space behind a single builder:
@@ -1641,6 +1641,12 @@ mod tests {
     fn count_req(num: u64, den: u64) -> Request<PureDp, u8, i64> {
         let p: Private<PureDp, u8, i64> = Private::noised_query(&count_query(), num, den);
         Request::from_private(&p, "count")
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid privacy parameter")]
+    fn request_rejects_negative_gamma() {
+        let _: Request<PureDp, u8, i64> = Request::new(Mechanism::constant(0), -0.1, "negative");
     }
 
     #[test]

@@ -144,25 +144,30 @@ mod tests {
     }
 
     /// Serving repeated adaptive releases through the batched path: one
-    /// `run_batch` + one ledger entry, byte-identical to sequential runs.
+    /// `answer_many` is one exact ledger entry, and releases what
+    /// sequential runs release from the same stream.
     #[test]
     fn adaptive_rounds_serve_through_batched_path() {
-        use sampcert_core::Ledger;
-        use sampcert_slang::CountingByteSource;
+        use sampcert_core::{Dyadic, Request, Session};
+        use sampcert_slang::SplitSeed;
         let db: Vec<i64> = (0..500).map(|i| 40 + (i * 31) % 80).collect();
         let m = adaptive_mean::<PureDp>(12, 10, 4, 1, 8, 1);
+        assert_eq!(m.gamma(), 20.0); // 4 + 8 + 8
 
-        let mut seq_src = CountingByteSource::new(SeededByteSource::new(41));
-        let seq: Vec<_> = (0..16).map(|_| m.run(&db, &mut seq_src)).collect();
-        let mut batch_src = CountingByteSource::new(SeededByteSource::new(41));
-        let batch = m.run_batch(&db, 16, &mut batch_src);
-        assert_eq!(batch.values(), &seq[..]);
-        assert_eq!(batch_src.bytes_read(), seq_src.bytes_read());
-
-        let mut ledger: Ledger<PureDp> = Ledger::new(400.0);
-        batch.charge(&mut ledger, "adaptive-rounds").unwrap();
-        assert_eq!(ledger.entries().len(), 1);
-        assert!((ledger.spent() - 16.0 * m.gamma()).abs() < 1e-9);
+        let mut replay = SplitSeed::new(41).stream(0);
+        let seq: Vec<_> = (0..16).map(|_| m.run(&db, &mut replay)).collect();
+        let mut session = Session::<PureDp>::builder()
+            .exact()
+            .ledger(400.0)
+            .inline()
+            .seeded(41)
+            .build();
+        let served = session
+            .answer_many(&Request::from_private(&m, "adaptive-rounds"), &db, 16)
+            .unwrap();
+        assert_eq!(served, seq);
+        assert_eq!(session.accountant().entries().len(), 1);
+        assert_eq!(session.accountant().spent_exact(), &Dyadic::from(320u64));
     }
 
     #[test]

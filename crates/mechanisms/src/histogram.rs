@@ -150,15 +150,15 @@ pub fn par_noised_histogram<D: DpNoise, T: Clone + 'static>(
 /// The noised histogram as a [`Request`] for the
 /// [`Session`](sampcert_core::Session) front door.
 ///
-/// One answer is a whole histogram, served through the batched path: one
-/// O(rows) counting pass, one noise program drawn `nBins` times in the
-/// compositional draw order — so every released vector (and every
-/// consumed byte) equals what [`histogram_batch`](crate::histogram_batch)
-/// and [`noised_histogram`]`.run` release from the same stream position
-/// (pinned by `tests/session_api.rs`). The price is
-/// [`histogram_gamma`](crate::histogram_gamma), factored as `nBins`
-/// sub-releases of the per-bin cost so exact carriers record the same
-/// per-bin rounded charge the legacy metered path recorded. The analytic
+/// One answer is a whole histogram: one O(rows) counting pass (where the
+/// compositional mechanism scans the database once per bin), then one
+/// noise program drawn `nBins` times in the compositional draw order — so
+/// every released vector (and every consumed byte) equals what
+/// [`noised_histogram`]`.run` releases from the same stream position
+/// (pinned by the tests below and `tests/session_api.rs`). The price is
+/// [`noised_histogram`]'s, `nBins · noise_priv(γ₁, γ₂·nBins)`, factored
+/// as `nBins` sub-releases of the per-bin cost so exact carriers round
+/// the per-bin cost before composing it. The analytic
 /// distribution is [`noised_histogram`]'s, so
 /// [`check_pair`](sampcert_core::Private::check_pair)-style verification
 /// remains available through the underlying compositional mechanism.
@@ -192,7 +192,7 @@ pub fn histogram_request<D: DpNoise, T: 'static>(
 ) -> Request<D, T, Vec<i64>> {
     let n = bins.n_bins();
     let noise = D::noise(
-        &crate::batch::noise_only_query::<T>(1),
+        &crate::queries::noise_only_query::<T>(1),
         gamma_num,
         gamma_den * n as u64,
     );
@@ -242,12 +242,117 @@ pub fn approx_max_bin<D: DpNoise, T: 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sampcert_core::{CheckOptions, PureDp, Zcdp};
-    use sampcert_slang::SeededByteSource;
+    use sampcert_core::{CheckOptions, Dyadic, ExactLedger, Ledger, PureDp, Session, Zcdp};
+    use sampcert_slang::{CountingByteSource, SeededByteSource, SplitSeed};
 
     /// Two bins: evens and odds.
     fn parity_bins() -> Bins<i64> {
         Bins::new(2, |v: &i64| (*v % 2).unsigned_abs() as usize)
+    }
+
+    /// The request's one-pass histogram is byte for byte the
+    /// compositional one, at the same price.
+    #[test]
+    fn histogram_request_equals_compositional_run_bytewise() {
+        fn check<D: DpNoise>(seed: u64) {
+            let bins = Bins::new(5, |v: &i64| (*v % 5).unsigned_abs() as usize);
+            let db: Vec<i64> = (0..200).map(|i| (i * 13) % 40).collect();
+            let compositional = noised_histogram::<D, i64>(&bins, 2, 1);
+            let req = histogram_request::<D, i64>(&bins, 2, 1);
+            let mut seq_src = CountingByteSource::new(SeededByteSource::new(seed));
+            let mut req_src = CountingByteSource::new(SeededByteSource::new(seed));
+            for round in 0..20 {
+                let a = compositional.run(&db, &mut seq_src);
+                let b = req.mechanism().run(&db, &mut req_src);
+                assert_eq!(a, b, "{} round {round}", D::NAME);
+                assert_eq!(
+                    seq_src.bytes_read(),
+                    req_src.bytes_read(),
+                    "{} round {round}",
+                    D::NAME
+                );
+            }
+            assert!(
+                (req.gamma_each() - compositional.gamma()).abs() < 1e-12,
+                "{}",
+                D::NAME
+            );
+        }
+        check::<PureDp>(17);
+        check::<Zcdp>(18);
+    }
+
+    #[test]
+    fn histogram_request_counts_exactly_under_zero_noise_scale() {
+        // Huge ε ⇒ tiny noise; the counting pass must be exact.
+        let req = histogram_request::<PureDp, i64>(&parity_bins(), 200, 1);
+        let db: Vec<i64> = (0..100).collect();
+        let mut src = SeededByteSource::new(2);
+        assert_eq!(req.mechanism().run(&db, &mut src), vec![50, 50]);
+    }
+
+    /// A histogram served through the `Session` front door records the
+    /// same exact charge as the per-bin batch charge: per-bin γ converted
+    /// (rounded up) first, then composed `nBins`-fold — even when the
+    /// per-bin γ is not dyadic and the f64-composed total would round the
+    /// other way.
+    #[test]
+    fn session_histogram_charge_matches_per_bin_batch_charge_exactly() {
+        // 3 bins at γ = 1/3: per-bin ε = 1/9, non-dyadic in every digit.
+        let bins = Bins::new(3, |v: &i64| (*v % 3).unsigned_abs() as usize);
+        let db: Vec<i64> = (0..20).collect();
+        let mut session = Session::<PureDp>::builder()
+            .exact()
+            .ledger(10.0)
+            .inline()
+            .seeded(33)
+            .build();
+        session
+            .answer(&histogram_request::<PureDp, i64>(&bins, 1, 3), &db)
+            .unwrap();
+        let mut reference: ExactLedger<PureDp> = Ledger::new(10.0);
+        reference
+            .charge_batch("hist", PureDp::noise_priv(1, 9), 3)
+            .unwrap();
+        assert_eq!(session.accountant().spent_exact(), reference.spent_exact());
+    }
+
+    /// Charge-before-serve through the `Session` front door: a refused
+    /// histogram draws no entropy, so the next served histogram continues
+    /// the compositional replay exactly where the last served one stopped.
+    #[test]
+    fn session_histogram_refusal_draws_no_entropy() {
+        let bins = parity_bins();
+        let db: Vec<i64> = (0..30).collect();
+        let eps_one = histogram_request::<PureDp, i64>(&bins, 1, 1);
+        let eps_half = histogram_request::<PureDp, i64>(&bins, 1, 2);
+
+        // Exact carrier, budget 2.5: two ε = 1 histograms fit, a third is
+        // refused, and an ε = ½ histogram then fits exactly.
+        let mut session = Session::<PureDp>::builder()
+            .exact()
+            .ledger(2.5)
+            .inline()
+            .seeded(21)
+            .build();
+        let mut replay = SplitSeed::new(21).stream(0);
+        for round in 0..2 {
+            let got = session.answer(&eps_one, &db).expect("fits");
+            let expect = noised_histogram::<PureDp, i64>(&bins, 1, 1).run(&db, &mut replay);
+            assert_eq!(got, expect, "round {round}");
+        }
+        assert_eq!(session.accountant().spent_exact(), &Dyadic::from(2u64));
+
+        let err = session.answer(&eps_one, &db).unwrap_err();
+        let refusal = err.as_budget().expect("budget refusal");
+        assert_eq!(refusal.requested, Dyadic::from(1u64));
+        assert_eq!(refusal.remaining, Dyadic::from_f64_ceil(0.5));
+        assert_eq!(session.accountant().entries().len(), 2);
+
+        let got = session.answer(&eps_half, &db).expect("fits exactly");
+        let expect = noised_histogram::<PureDp, i64>(&bins, 1, 2).run(&db, &mut replay);
+        assert_eq!(got, expect, "the refused histogram drew entropy");
+        assert_eq!(session.accountant().remaining_exact(), Dyadic::zero());
     }
 
     #[test]

@@ -32,7 +32,6 @@
 
 mod accuracy;
 mod adaptive;
-mod batch;
 mod histogram;
 mod queries;
 mod svt;
@@ -41,12 +40,12 @@ pub use accuracy::{
     gaussian_accuracy, gaussian_tail, laplace_accuracy, laplace_tail, pure_dp_accuracy,
 };
 pub use adaptive::{adaptive_mean, magnitude_bins, AdaptiveMeanRelease};
-pub use batch::{answer_workload, histogram_batch, histogram_gamma, workload_request};
 pub use histogram::{
     approx_max_bin, exact_bin_count, histogram_request, noised_bin_count, noised_histogram,
     par_noised_histogram, Bins,
 };
 pub use queries::{
     count_request, mean_of, mean_request, noised_bounded_sum, noised_count, noised_mean,
+    workload_request,
 };
 pub use svt::{above_threshold, sparse, svt_request, SvtParams};

@@ -1,4 +1,5 @@
-//! Noised scalar statistics: count, bounded sum, and mean.
+//! Noised scalar statistics: count, bounded sum, mean, and a workload of
+//! arbitrary queries.
 //!
 //! These are the paper's bread-and-butter mechanisms ("count, sum, mean,
 //! histogram, SVT, …" in Fig. 1's mechanism library), built purely from
@@ -7,7 +8,17 @@
 //! postprocessed by division — privacy accounting for all of it falls out
 //! of the typed combinators, for any [`DpNoise`] instance.
 
-use sampcert_core::{bounded_sum_query, count_query, DpNoise, Private, Request};
+use sampcert_core::{bounded_sum_query, count_query, DpNoise, Mechanism, Private, Query, Request};
+use sampcert_slang::{ByteSource, SubPmf};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// A constant-zero query of declared sensitivity `sensitivity`: noising it
+/// yields the raw calibrated noise, which the request constructors add to
+/// exact answers themselves.
+pub(crate) fn noise_only_query<T: 'static>(sensitivity: u64) -> Query<T> {
+    Query::new(format!("noise[Δ={sensitivity}]"), sensitivity, |_| 0)
+}
 
 /// A noised count of the rows, at `noise_priv(γ₁, γ₂)`-ADP.
 ///
@@ -95,6 +106,63 @@ pub fn mean_request<D: DpNoise>(
     )
 }
 
+/// A workload of queries as a [`Request`] for the
+/// [`Session`](sampcert_core::Session) front door: one answer is the
+/// whole workload (a `Vec<i64>` in workload order), each query noised at
+/// `noise_priv(γ₁, γ₂)` and priced as one of `queries.len()`
+/// sub-releases, so the exact carrier rounds the per-query cost before
+/// composing it.
+///
+/// The noise programs (one per distinct sensitivity) are built once, at
+/// request construction, and reused across every serve. The draw order
+/// is workload order, so the released values, and the bytes consumed,
+/// equal releasing each query through
+/// [`Private::noised_query`]`(q, γ₁, γ₂).run` on the same stream.
+///
+/// The request's analytic distribution is **not** assembled (it is the
+/// product of the per-answer noise distributions, combinatorially large);
+/// it reports as the zero sub-PMF. Check privacy per answer through
+/// [`Private::noised_query`] on the individual queries instead.
+///
+/// # Panics
+///
+/// Panics if `gamma_num` or `gamma_den` is zero.
+pub fn workload_request<D: DpNoise, T: 'static>(
+    queries: &[Query<T>],
+    gamma_num: u64,
+    gamma_den: u64,
+) -> Request<D, T, Vec<i64>> {
+    let mut programs: HashMap<u64, Mechanism<T, i64>> = HashMap::new();
+    for q in queries {
+        programs.entry(q.sensitivity()).or_insert_with(|| {
+            D::noise(
+                &noise_only_query::<T>(q.sensitivity()),
+                gamma_num,
+                gamma_den,
+            )
+        });
+    }
+    let queries: Arc<Vec<Query<T>>> = Arc::new(queries.to_vec());
+    let units = queries.len() as u64;
+    let mech = Mechanism::from_parts(
+        move |db: &[T], src: &mut dyn ByteSource| {
+            let mut values = Vec::with_capacity(queries.len());
+            for q in queries.iter() {
+                let noise = &programs[&q.sensitivity()];
+                values.push(q.eval(db) + noise.run(&[], src));
+            }
+            values
+        },
+        |_| SubPmf::zero(),
+    );
+    Request::composite(
+        mech,
+        D::noise_priv(gamma_num, gamma_den),
+        units,
+        format!("workload[{units} queries]"),
+    )
+}
+
 /// The mean implied by a `(sum, count)` release, with the count floored at
 /// one (a noised count can be nonpositive on tiny databases).
 pub fn mean_of(release: &(i64, i64)) -> f64 {
@@ -104,8 +172,8 @@ pub fn mean_of(release: &(i64, i64)) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sampcert_core::{CheckOptions, PureDp, Zcdp};
-    use sampcert_slang::SeededByteSource;
+    use sampcert_core::{CheckOptions, Dyadic, PureDp, Session, Zcdp};
+    use sampcert_slang::{CountingByteSource, SeededByteSource};
 
     #[test]
     fn count_budget_and_privacy() {
@@ -147,5 +215,74 @@ mod tests {
         assert_eq!(mean_of(&(10, 0)), 10.0);
         assert_eq!(mean_of(&(10, -3)), 10.0);
         assert_eq!(mean_of(&(9, 3)), 3.0);
+    }
+
+    /// A workload request releases what the queries release one at a time
+    /// through `Private::noised_query`, from the same stream: same values,
+    /// same bytes consumed, same price.
+    #[test]
+    fn workload_request_equals_separate_releases_bytewise() {
+        fn check<D: DpNoise>(seed: u64) {
+            // Mixed sensitivities: count (Δ=1), a Δ=3 query, another count.
+            let workload = vec![
+                Query::new("count", 1, |db: &[i64]| db.len() as i64),
+                Query::new("triple", 3, |db: &[i64]| 3 * db.len() as i64),
+                Query::new("count2", 1, |db: &[i64]| db.len() as i64),
+            ];
+            let db: Vec<i64> = (0..50).collect();
+            let separate: Vec<Private<D, i64, i64>> = workload
+                .iter()
+                .map(|q| Private::noised_query(q, 1, 2))
+                .collect();
+            let req = workload_request::<D, i64>(&workload, 1, 2);
+
+            let mut seq_src = CountingByteSource::new(SeededByteSource::new(seed));
+            let mut req_src = CountingByteSource::new(SeededByteSource::new(seed));
+            for round in 0..10 {
+                let seq: Vec<i64> = separate.iter().map(|p| p.run(&db, &mut seq_src)).collect();
+                let got = req.mechanism().run(&db, &mut req_src);
+                assert_eq!(got, seq, "{} round {round}", D::NAME);
+                assert_eq!(
+                    req_src.bytes_read(),
+                    seq_src.bytes_read(),
+                    "{} round {round}",
+                    D::NAME
+                );
+            }
+            assert_eq!(req.gamma_unit(), separate[0].gamma(), "{}", D::NAME);
+            assert_eq!(req.units(), 3);
+        }
+        check::<PureDp>(5);
+        check::<Zcdp>(6);
+    }
+
+    /// A served workload is one exact ledger entry of `queries.len()` ×
+    /// the per-query cost; an identical second workload that no longer
+    /// fits is refused with the exact deficit.
+    #[test]
+    fn session_workload_charges_exact_ledger_once() {
+        let workload: Vec<Query<i64>> = (0..6)
+            .map(|i| Query::new(format!("q{i}"), 1, |db: &[i64]| db.len() as i64))
+            .collect();
+        // ε = 1/4 per query: dyadic, so the exact meter loses nothing.
+        let req = workload_request::<PureDp, i64>(&workload, 1, 4);
+        let mut session = Session::<PureDp>::builder()
+            .exact()
+            .ledger(1.5)
+            .inline()
+            .seeded(9)
+            .build();
+        session.answer(&req, &[1, 2, 3]).unwrap();
+        assert_eq!(session.accountant().entries().len(), 1);
+        assert_eq!(
+            session.accountant().spent_exact(),
+            &Dyadic::try_from_rat(&sampcert_arith::Rat::from_ratio(6, 4)).unwrap()
+        );
+        let err = session.answer(&req, &[1, 2, 3]).unwrap_err();
+        assert_eq!(
+            err.as_budget().expect("budget refusal").remaining,
+            Dyadic::zero()
+        );
+        assert_eq!(session.accountant().entries().len(), 1);
     }
 }

@@ -295,10 +295,14 @@ impl<T> Future for JoinHandle<T> {
 /// The work-stealing runtime: `N` worker threads serving spawned tasks
 /// from per-worker queues with stealing.
 ///
-/// Dropping the runtime shuts the workers down after they finish the
-/// tasks they are currently polling; tasks still queued are dropped
-/// unpolled (a [`JoinHandle`] for one would never resolve). Join what
-/// you need before dropping.
+/// Dropping the runtime sets the shutdown flag and joins the workers. A
+/// worker reads that flag only once it finds no queued task anywhere, so
+/// the drop first drains every queue: each task queued before or during
+/// the drop is polled until it completes or returns `Pending`. What can
+/// be lost is a task parked `Pending` whose wake arrives after the last
+/// worker has exited; it is queued but never polled again, and a
+/// [`JoinHandle`] for it never resolves. Join what you need before
+/// dropping.
 pub struct Runtime {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -490,6 +494,26 @@ mod tests {
             cv.notify_all();
         }
         blocker.join();
+    }
+
+    #[test]
+    fn drop_drains_queued_tasks() {
+        // One worker, held by a blocking task until the drop has set the
+        // shutdown flag, so three more tasks are still queued behind it
+        // when the runtime shuts down: the drop runs all of them.
+        let rt = Runtime::new(1);
+        let shared = Arc::clone(&rt.shared);
+        let mut handles = vec![rt.spawn(async move {
+            while !shared.shutdown.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            0u32
+        })];
+        handles.extend((1..=3u32).map(|i| rt.spawn(async move { i })));
+        drop(rt);
+        assert!(handles.iter().all(JoinHandle::is_finished));
+        let joined: Vec<u32> = handles.into_iter().map(JoinHandle::join).collect();
+        assert_eq!(joined, vec![0, 1, 2, 3]);
     }
 
     #[test]

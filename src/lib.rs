@@ -61,9 +61,9 @@
 //! ```
 //!
 //! The pre-`Session` entry points (`Private::run` with an explicit byte
-//! source, `histogram_batch`, `Mechanism::run_many_into`, …) remain the
-//! unmetered primitives underneath and stay available; every metered
-//! release goes through the session.
+//! source, `Mechanism::run_many_into`, …) remain the unmetered
+//! primitives underneath and stay available; every metered release goes
+//! through the session, which charges before it draws.
 
 pub use sampcert_arith as arith;
 pub use sampcert_baselines as baselines;

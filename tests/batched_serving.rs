@@ -1,15 +1,20 @@
 //! Integration test: the batched serving pipeline end-to-end — batched
-//! noise draws, batched mechanism releases, and one vectorized accountant
-//! charge per batch — against the release-at-a-time path it replaces.
+//! noise draws, batched `Session` releases, and one vectorized accountant
+//! charge per batch, taken before any answer is drawn — against the
+//! release-at-a-time path it replaces.
 //!
-//! Every equality here is exact (same values, same consumed bytes): the
-//! batched layer is a throughput optimization, not a semantic change.
+//! Every equality here is exact (same values, same consumed bytes, same
+//! exact charge): the batched layer is a throughput optimization, not a
+//! semantic change.
 
-use sampcert::arith::Nat;
-use sampcert::core::{count_query, Ledger, Private, PureDp, RdpAccountant, Zcdp};
-use sampcert::mechanisms::{answer_workload, histogram_batch, noised_histogram, Bins};
+use sampcert::arith::{Dyadic, Nat};
+use sampcert::core::{
+    count_query, ExactLedger, Ledger, Private, PureDp, Query, RdpAccountant, Request, Session,
+    SessionError, Zcdp,
+};
+use sampcert::mechanisms::{histogram_request, noised_histogram, workload_request, Bins};
 use sampcert::samplers::{discrete_gaussian, discrete_gaussian_many, LaplaceAlg};
-use sampcert::slang::{CountingByteSource, Sampling, SeededByteSource};
+use sampcert::slang::{CountingByteSource, Sampling, SeededByteSource, SplitSeed};
 
 #[test]
 fn batched_draws_are_invisible_to_values_and_entropy() {
@@ -30,17 +35,22 @@ fn batched_draws_are_invisible_to_values_and_entropy() {
 #[test]
 fn serving_session_charges_once_per_batch() {
     // A session serving 3 batches of 200 noised counts each, metered
-    // against the same budget arithmetic as 600 individual charges.
+    // against the same budget arithmetic as 600 individual charges. The
+    // cost ρ = ½·(1/8)² = 1/128 is dyadic, so both ledgers are exact.
     let query: Private<Zcdp, u8, i64> = Private::noised_query(&count_query(), 1, 8);
+    let req = Request::from_private(&query, "count");
     let db = vec![0u8; 50];
-    let mut src = SeededByteSource::new(7);
 
-    let mut batched_ledger: Ledger<Zcdp> = Ledger::new(10.0);
-    let mut individual_ledger: Ledger<Zcdp> = Ledger::new(10.0);
+    let mut session = Session::<Zcdp>::builder()
+        .exact()
+        .ledger(10.0)
+        .inline()
+        .seeded(7)
+        .build();
+    let mut individual_ledger: ExactLedger<Zcdp> = Ledger::new(10.0);
     for round in 0..3 {
-        let batch = query.run_batch(&db, 200, &mut src);
-        batch
-            .charge(&mut batched_ledger, format!("round-{round}"))
+        let batch = session
+            .answer_many(&req, &db, 200)
             .expect("budget covers the session");
         for _ in 0..batch.len() {
             individual_ledger
@@ -48,10 +58,16 @@ fn serving_session_charges_once_per_batch() {
                 .expect("budget covers the session");
         }
     }
+    let batched_ledger = session.accountant();
     assert_eq!(batched_ledger.entries().len(), 3);
     assert_eq!(individual_ledger.entries().len(), 600);
-    assert!((batched_ledger.spent() - individual_ledger.spent()).abs() < 1e-12);
-    assert!((batched_ledger.remaining() - individual_ledger.remaining()).abs() < 1e-12);
+    let rho_600 = Dyadic::from_f64_ceil(600.0 / 128.0); // exact in f64
+    assert_eq!(batched_ledger.spent_exact(), &rho_600);
+    assert_eq!(individual_ledger.spent_exact(), &rho_600);
+    assert_eq!(
+        batched_ledger.remaining_exact(),
+        individual_ledger.remaining_exact()
+    );
 }
 
 #[test]
@@ -78,35 +94,58 @@ fn batched_histogram_serves_the_compositional_distribution() {
     let db: Vec<u32> = (0..500).map(|i| i * 7 % 100).collect();
     let compositional = noised_histogram::<PureDp, u32>(&bins, 4, 1);
 
-    let mut seq_src = CountingByteSource::new(SeededByteSource::new(99));
-    let mut batch_src = CountingByteSource::new(SeededByteSource::new(99));
-    for _ in 0..10 {
-        assert_eq!(
-            compositional.run(&db, &mut seq_src),
-            histogram_batch::<PureDp, u32>(&bins, 4, 1, &db, &mut batch_src)
-        );
-        assert_eq!(seq_src.bytes_read(), batch_src.bytes_read());
+    let mut session = Session::<PureDp>::builder()
+        .ledger(100.0)
+        .inline()
+        .seeded(99)
+        .build();
+    let served = session
+        .answer_many(&histogram_request::<PureDp, u32>(&bins, 4, 1), &db, 10)
+        .unwrap();
+    let mut replay = SplitSeed::new(99).stream(0);
+    for (round, hist) in served.iter().enumerate() {
+        assert_eq!(hist, &compositional.run(&db, &mut replay), "round {round}");
     }
 }
 
 #[test]
 fn workload_batch_fits_ledger_or_leaves_it_untouched() {
-    let workload: Vec<_> = (0..20)
-        .map(|i| sampcert::core::Query::new(format!("count-{i}"), 1, |db: &[u8]| db.len() as i64))
+    let workload = |n: usize| -> Vec<Query<u8>> {
+        (0..n)
+            .map(|i| Query::new(format!("count-{i}"), 1, |db: &[u8]| db.len() as i64))
+            .collect()
+    };
+    let db = [1u8, 2, 3];
+
+    // Budget 5: a 20 × ε/2 = 10 workload is refused before any draw.
+    let mut session = Session::<PureDp>::builder()
+        .exact()
+        .ledger(5.0)
+        .inline()
+        .seeded(12)
+        .build();
+    let err = session
+        .answer(&workload_request::<PureDp, u8>(&workload(20), 1, 2), &db)
+        .unwrap_err();
+    let SessionError::Budget(refusal) = err else {
+        panic!("expected a budget refusal, got {err}");
+    };
+    assert_eq!(refusal.requested, Dyadic::from(10u64));
+    assert_eq!(refusal.remaining, Dyadic::from(5u64));
+    assert!(session.accountant().entries().is_empty());
+    assert_eq!(session.accountant().spent_exact(), &Dyadic::zero());
+
+    // A 10 × ε/2 = 5 workload fits exactly, and its answers are the
+    // first draws of the untouched stream: the refusal drew nothing.
+    let half = workload(10);
+    let got = session
+        .answer(&workload_request::<PureDp, u8>(&half, 1, 2), &db)
+        .expect("fits exactly");
+    let mut replay = SplitSeed::new(12).stream(0);
+    let expect: Vec<i64> = half
+        .iter()
+        .map(|q| Private::<PureDp, u8, i64>::noised_query(q, 1, 2).run(&db, &mut replay))
         .collect();
-    let mut src = SeededByteSource::new(12);
-    let batch = answer_workload::<PureDp, u8>(&workload, 1, 2, &[1, 2, 3], &mut src);
-    assert_eq!(batch.len(), 20);
-
-    // Budget 5: a 20 × ε/2 = 10 workload must be refused atomically.
-    let mut tight: Ledger<PureDp> = Ledger::new(5.0);
-    let err = batch.charge(&mut tight, "workload").unwrap_err();
-    assert!(err.remaining >= 0.0);
-    assert_eq!(tight.entries().len(), 0);
-    assert_eq!(tight.spent(), 0.0);
-
-    // Budget 10 admits it exactly.
-    let mut ample: Ledger<PureDp> = Ledger::new(10.0);
-    batch.charge(&mut ample, "workload").unwrap();
-    assert!((ample.spent() - 10.0).abs() < 1e-9);
+    assert_eq!(got, expect);
+    assert_eq!(session.accountant().remaining_exact(), Dyadic::zero());
 }

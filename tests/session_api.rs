@@ -6,8 +6,9 @@
 //! Layout:
 //!
 //! - byte-stream equality of `Session::answer_many` vs
-//!   `Private::run_many`, `histogram_batch`, `answer_workload` and
-//!   `above_threshold.run` on the seeded backend (where replay makes
+//!   `Private::run_many`, `noised_histogram.run`, per-query
+//!   `Private::noised_query(..).run` and `above_threshold.run` on the
+//!   seeded backend (where replay makes
 //!   byte comparison possible), and of pooled sessions vs a per-lane
 //!   sequential replay of `Mechanism::run_many_into` /
 //!   `discrete_gaussian_many_into` on `root.stream(i)`;
@@ -23,11 +24,10 @@
 use sampcert::arith::Dyadic;
 use sampcert::core::{
     count_query, lane_partition, Budget, DpNoise, Entropy, Executor, Ledger, Mechanism, Private,
-    PureDp, Request, Session, SessionError, Zcdp,
+    PureDp, Query, Request, Session, SessionError, Zcdp,
 };
 use sampcert::mechanisms::{
-    answer_workload, histogram_batch, histogram_request, svt_request, workload_request, Bins,
-    SvtParams,
+    histogram_request, noised_histogram, svt_request, workload_request, Bins, SvtParams,
 };
 use sampcert::rt::{block_on, RtExecutor};
 use sampcert::samplers::{discrete_gaussian_many_into, LaplaceAlg};
@@ -95,68 +95,110 @@ fn inline_answer_many_equals_private_run_many_bytewise() {
     );
 }
 
-/// `Session` histogram answers vs `histogram_batch`: same bytes; and the
-/// exact charge matches an explicit per-bin batch charge bit for bit.
+/// `Session` histogram answers vs the compositional `noised_histogram`
+/// run on the replayed stream: same values, and the session's stream
+/// ends where the replay's does (its next noise draw is the replay's
+/// next). On the exact carrier the charge matches an explicit per-bin
+/// batch charge bit for bit.
 #[test]
-fn histogram_request_equals_histogram_batch_bytewise_and_in_exact_charge() {
-    let bins = Bins::new(3, |v: &i64| (*v % 3).unsigned_abs() as usize);
-    let db: Vec<i64> = (0..60).map(|i| (i * 13) % 40).collect();
-    let req = histogram_request::<PureDp, i64>(&bins, 1, 3);
+fn histogram_request_equals_noised_histogram_bytewise_and_in_exact_charge() {
+    fn check<D: DpNoise>(root: u64) {
+        let bins = Bins::new(3, |v: &i64| (*v % 3).unsigned_abs() as usize);
+        let db: Vec<i64> = (0..60).map(|i| (i * 13) % 40).collect();
+        let req = histogram_request::<D, i64>(&bins, 1, 3);
+        let reference = noised_histogram::<D, i64>(&bins, 1, 3);
 
-    let mut session = Session::<PureDp>::builder()
-        .exact()
-        .ledger(10.0)
-        .inline()
-        .seeded(33)
-        .build();
-    let mut legacy_src = SplitSeed::new(33).stream(0);
-    for round in 0..5 {
-        let got = session.answer(&req, &db).unwrap();
-        let expect = histogram_batch::<PureDp, i64>(&bins, 1, 3, &db, &mut legacy_src);
-        assert_eq!(got, expect, "round {round}");
-    }
+        let mut session = Session::<D>::builder()
+            .exact()
+            .ledger(10.0)
+            .inline()
+            .seeded(root)
+            .build();
+        let mut replay = SplitSeed::new(root).stream(0);
+        for round in 0..5 {
+            let got = session.answer(&req, &db).unwrap();
+            assert_eq!(
+                got,
+                reference.run(&db, &mut replay),
+                "{} round {round}",
+                D::NAME
+            );
+        }
+        let probe: Request<D, i64, i64> = Request::noise(1, 1);
+        assert_eq!(
+            session.answer(&probe, &db).unwrap(),
+            probe.mechanism().run(&db, &mut replay),
+            "{}: the session consumed a different number of bytes",
+            D::NAME
+        );
 
-    // Exact-charge parity with charging each histogram as 3 bins of
-    // ε = 1/9: that γ is non-dyadic, so this pins the per-unit rounding
-    // rule.
-    let mut reference: Ledger<PureDp, Dyadic> = Ledger::new(10.0);
-    for round in 0..5 {
-        reference
-            .charge_batch(format!("hist-{round}"), PureDp::noise_priv(1, 9), 3)
-            .unwrap();
+        // Exact-charge parity with charging each histogram as 3 bins of
+        // noise_priv(1, 9): for ε = 1/9 that is non-dyadic, so this pins
+        // the per-unit rounding rule.
+        let mut expect: Ledger<D, Dyadic> = Ledger::new(10.0);
+        for round in 0..5 {
+            expect
+                .charge_batch(format!("hist-{round}"), D::noise_priv(1, 9), 3)
+                .unwrap();
+        }
+        expect.charge("probe", probe.gamma_each()).unwrap();
+        assert_eq!(
+            session.accountant().spent_exact(),
+            expect.spent_exact(),
+            "{}: session charge diverged from the per-bin exact charge",
+            D::NAME
+        );
     }
-    assert_eq!(
-        session.accountant().spent_exact(),
-        reference.spent_exact(),
-        "session charge diverged from the per-bin exact charge"
-    );
+    check::<PureDp>(33);
+    check::<Zcdp>(34);
 }
 
-/// `Session` workload answers vs `answer_workload`: same bytes, same
-/// batch price.
+/// `Session` workload answers vs releasing each query through
+/// `Private::noised_query` on the replayed stream: same values, same
+/// stream position afterwards, and the workload's price.
 #[test]
-fn workload_request_equals_answer_workload_bytewise() {
-    let queries: Vec<sampcert::core::Query<i64>> = vec![
-        sampcert::core::Query::new("count", 1, |db: &[i64]| db.len() as i64),
-        sampcert::core::Query::new("triple", 3, |db: &[i64]| 3 * db.len() as i64),
-        sampcert::core::Query::new("count2", 1, |db: &[i64]| db.len() as i64),
-    ];
-    let db: Vec<i64> = (0..50).collect();
-    let req = workload_request::<PureDp, i64>(&queries, 1, 2);
-    assert!((req.gamma_each() - 1.5).abs() < 1e-12);
+fn workload_request_equals_per_query_releases_bytewise() {
+    fn check<D: DpNoise>(root: u64) {
+        let queries: Vec<Query<i64>> = vec![
+            Query::new("count", 1, |db: &[i64]| db.len() as i64),
+            Query::new("triple", 3, |db: &[i64]| 3 * db.len() as i64),
+            Query::new("count2", 1, |db: &[i64]| db.len() as i64),
+        ];
+        let db: Vec<i64> = (0..50).collect();
+        let req = workload_request::<D, i64>(&queries, 1, 2);
+        let separate: Vec<Private<D, i64, i64>> = queries
+            .iter()
+            .map(|q| Private::noised_query(q, 1, 2))
+            .collect();
+        assert_eq!(req.gamma_each(), 3.0 * separate[0].gamma(), "{}", D::NAME);
 
-    let mut session = Session::<PureDp>::builder()
-        .ledger(100.0)
-        .inline()
-        .seeded(5)
-        .build();
-    let mut legacy_src = SplitSeed::new(5).stream(0);
-    for _ in 0..4 {
-        let got = session.answer(&req, &db).unwrap();
-        let expect = answer_workload::<PureDp, i64>(&queries, 1, 2, &db, &mut legacy_src);
-        assert_eq!(got, expect.values());
+        let mut session = Session::<D>::builder()
+            .ledger(100.0)
+            .inline()
+            .seeded(root)
+            .build();
+        let mut replay = SplitSeed::new(root).stream(0);
+        for round in 0..4 {
+            let got = session.answer(&req, &db).unwrap();
+            let expect: Vec<i64> = separate.iter().map(|p| p.run(&db, &mut replay)).collect();
+            assert_eq!(got, expect, "{} round {round}", D::NAME);
+        }
+        let probe: Request<D, i64, i64> = Request::noise(1, 1);
+        assert_eq!(
+            session.answer(&probe, &db).unwrap(),
+            probe.mechanism().run(&db, &mut replay),
+            "{}: the session consumed a different number of bytes",
+            D::NAME
+        );
+        let spent = 4.0 * req.gamma_each() + probe.gamma_each();
+        assert!(
+            (session.accountant().spent() - spent).abs() < 1e-12,
+            "{}",
+            D::NAME
+        );
     }
-    assert!((session.accountant().spent() - 6.0).abs() < 1e-12);
+    check::<PureDp>(5);
+    check::<Zcdp>(6);
 }
 
 /// `Session` SVT answers vs `above_threshold.run`: same bytes, length-
