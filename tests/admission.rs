@@ -25,14 +25,19 @@
 //!   charge that follows succeeds, so a budget shed refuses exactly what
 //!   the charge would have refused;
 //! - a compile-time check that the async futures are `Send` on the
-//!   stacks that serve them from runtime tasks.
+//!   stacks that serve them from runtime tasks;
+//! - workload refusals: on a pooled session an `answer_async` refusal
+//!   spends and draws nothing, and on a durable per-principal session
+//!   it writes nothing to the journal, so a restart recovers exactly the
+//!   admitted spend.
 
 use proptest::prelude::*;
 use sampcert::core::{
     count_query, Accountant, AdmissionPolicy, Budget, BudgetRegistry, DurableOptions,
-    DurableRegistry, Dyadic, Ledger, MemStorage, PrincipalAccountant, Private, PureDp, RdpMeter,
-    Request, Session, SessionError,
+    DurableRegistry, Dyadic, Ledger, MemStorage, PrincipalAccountant, Private, PureDp, Query,
+    RdpMeter, Request, Session, SessionError, Zcdp,
 };
+use sampcert::mechanisms::workload_request;
 use sampcert::rt::{block_on, Ingress, RtExecutor};
 
 /// A unit counting request at ε = 1/2 (dyadic-exact, so the exact
@@ -493,4 +498,81 @@ fn answer_futures_are_send() {
         .seeded(5)
         .build();
     assert!(block_on(assert_send(pooled.answer_async(&req, &db))).is_ok());
+}
+
+/// A workload refused on a durable per-principal session journals
+/// nothing: the refusal leaves the log's bytes as the admitted workload
+/// left them, and a restart over those bytes recovers exactly the
+/// admitted spend.
+#[test]
+fn durable_workload_refusal_journals_nothing() {
+    let queries: Vec<Query<u8>> = (0..3)
+        .map(|i| Query::new(format!("count-{i}"), 1, |db: &[u8]| db.len() as i64))
+        .collect();
+    let db = [7u8; 10];
+    let storage = MemStorage::new();
+    let mut session = Session::<PureDp>::builder()
+        .exact()
+        .registry(1.0)
+        .durable_with_options(storage.clone(), DurableOptions::default())
+        .expect("fresh in-memory journal")
+        .inline()
+        .seeded(9)
+        .build_per_principal();
+    let half = Dyadic::from_f64_ceil(0.5);
+
+    // 2 × ε/4 = 1/2 fits; 3 × ε/4 = 3/4 then does not.
+    let two = workload_request::<PureDp, u8>(&queries[..2], 1, 4);
+    assert_eq!(session.answer_for(5, &two, &db).expect("fits").len(), 2);
+    let journaled = storage.contents();
+    let three = workload_request::<PureDp, u8>(&queries, 1, 4);
+    let err = session.answer_for(5, &three, &db).unwrap_err();
+    let refusal = err.as_budget().expect("budget refusal");
+    assert_eq!(refusal.principal, Some(5));
+    assert_eq!(refusal.remaining, half);
+    assert_eq!(storage.contents(), journaled, "the refusal was journaled");
+    assert_eq!(session.accountant().spent_exact(5), half);
+    drop(session);
+
+    let (recovered, _) = DurableRegistry::<PureDp, Dyadic, MemStorage>::open_with_options(
+        Dyadic::from(1u64),
+        4,
+        storage.reopen(),
+        DurableOptions::default(),
+    )
+    .expect("clean journal");
+    assert_eq!(recovered.spent_exact(5), half);
+}
+
+/// An `answer_async` workload refused on a pooled zCDP session spends
+/// nothing and draws nothing: the workload that fits next is answered
+/// exactly as a fresh session answers it.
+#[test]
+fn pooled_async_workload_refusal_spends_nothing_and_draws_nothing() {
+    let queries: Vec<Query<u8>> = (0..6)
+        .map(|i| Query::new(format!("count-{i}"), 1, |db: &[u8]| db.len() as i64))
+        .collect();
+    let db = [7u8; 10];
+    let pooled = || {
+        Session::<Zcdp>::builder()
+            .exact()
+            .ledger(0.5)
+            .executor::<RtExecutor>(2)
+            .seeded(13)
+            .build()
+    };
+    // ρ = ½·(1/2)² = 1/8 per query: 4 queries fit 1/2 exactly, 6 do not.
+    let four = workload_request::<Zcdp, u8>(&queries[..4], 1, 2);
+    let six = workload_request::<Zcdp, u8>(&queries, 1, 2);
+    let fresh = block_on(pooled().answer_async(&four, &db)).expect("fits exactly");
+
+    let mut session = pooled();
+    let err = block_on(session.answer_async(&six, &db)).unwrap_err();
+    let refusal = err.as_budget().expect("budget refusal");
+    assert_eq!(refusal.requested, Dyadic::from_f64_ceil(0.75));
+    assert_eq!(session.accountant().spent_exact(), &Dyadic::zero());
+    assert!(session.accountant().entries().is_empty());
+    let got = block_on(session.answer_async(&four, &db)).expect("fits exactly");
+    assert_eq!(got, fresh, "the refused workload drew entropy");
+    assert_eq!(session.accountant().remaining_exact(), Dyadic::zero());
 }

@@ -7,10 +7,11 @@
 //! exact charge): the batched layer is a throughput optimization, not a
 //! semantic change.
 
+use proptest::prelude::*;
 use sampcert::arith::{Dyadic, Nat};
 use sampcert::core::{
-    count_query, ExactLedger, Ledger, Private, PureDp, Query, RdpAccountant, Request, Session,
-    SessionError, Zcdp,
+    count_query, DpNoise, ExactLedger, Ledger, Private, PureDp, Query, RdpAccountant, Request,
+    Session, SessionError, Zcdp,
 };
 use sampcert::mechanisms::{histogram_request, noised_histogram, workload_request, Bins};
 use sampcert::samplers::{discrete_gaussian, discrete_gaussian_many, LaplaceAlg};
@@ -148,4 +149,116 @@ fn workload_batch_fits_ledger_or_leaves_it_untouched() {
         .collect();
     assert_eq!(got, expect);
     assert_eq!(session.accountant().remaining_exact(), Dyadic::zero());
+}
+
+/// A batch of histograms that does not fit is refused whole, before any
+/// histogram is drawn: the caller's buffer, the spend and the stream are
+/// untouched, and the batch that fits exactly is served from the start
+/// of the stream.
+#[test]
+fn refused_histogram_batch_spends_nothing_and_draws_nothing() {
+    let bins = Bins::new(4, |v: &u32| (*v as usize) % 4);
+    let db: Vec<u32> = (0..40).map(|i| i * 3 % 17).collect();
+    // ε = 1/2 per histogram: 4 bins of ε = 1/8, all dyadic.
+    let req = histogram_request::<PureDp, u32>(&bins, 1, 2);
+    let mut session = Session::<PureDp>::builder()
+        .exact()
+        .ledger(2.0)
+        .inline()
+        .seeded(41)
+        .build();
+
+    let mut out = vec![vec![-1i64]];
+    let err = session.stream_into(&req, &db, 5, &mut out).unwrap_err();
+    let refusal = err.as_budget().expect("budget refusal");
+    assert_eq!(refusal.requested, Dyadic::from_f64_ceil(2.5));
+    assert_eq!(refusal.remaining, Dyadic::from(2u64));
+    assert_eq!(
+        out,
+        vec![vec![-1]],
+        "the refusal wrote to the caller's buffer"
+    );
+    assert!(session.accountant().entries().is_empty());
+    assert_eq!(session.accountant().spent_exact(), &Dyadic::zero());
+
+    let served = session.answer_many(&req, &db, 4).expect("fits exactly");
+    let compositional = noised_histogram::<PureDp, u32>(&bins, 1, 2);
+    let mut replay = SplitSeed::new(41).stream(0);
+    for (round, hist) in served.iter().enumerate() {
+        assert_eq!(hist, &compositional.run(&db, &mut replay), "round {round}");
+    }
+    assert_eq!(session.accountant().remaining_exact(), Dyadic::zero());
+}
+
+/// One `answer_many` on a fresh exact ledger, then the batch that fills
+/// what is left. The first batch is admitted exactly when its price fits;
+/// a refused one spends nothing, and an admitted one spends its price.
+/// Either way the answers served so far are the replay of the stream
+/// from its start, so a refusal drew nothing and an admission drew
+/// exactly its answers.
+fn charges_before_it_draws<D: DpNoise>(budget: f64, den: u64, n: usize, seed: u64) {
+    let p: Private<D, u8, i64> = Private::noised_query(&count_query(), 1, den);
+    let req = Request::from_private(&p, "count");
+    let db = [3u8; 6];
+    // Every price here is a dyadic rational well inside f64's precision,
+    // so these f64 products and comparisons are exact.
+    let price = n as f64 * p.gamma();
+    let mut session = Session::<D>::builder()
+        .exact()
+        .ledger(budget)
+        .inline()
+        .seeded(seed)
+        .build();
+
+    let mut served = match session.answer_many(&req, &db, n) {
+        Ok(got) => {
+            assert!(price <= budget, "{}: admitted {price} > {budget}", D::NAME);
+            assert_eq!(
+                session.accountant().spent_exact(),
+                &Dyadic::from_f64_ceil(price)
+            );
+            got
+        }
+        Err(err) => {
+            let refusal = err.as_budget().expect("budget refusal");
+            assert!(price > budget, "{}: refused {price} <= {budget}", D::NAME);
+            assert_eq!(refusal.requested, Dyadic::from_f64_ceil(price));
+            assert_eq!(session.accountant().spent_exact(), &Dyadic::zero());
+            assert!(session.accountant().entries().is_empty());
+            Vec::new()
+        }
+    };
+    let spent = served.len() as f64 * p.gamma();
+    let fill = ((budget - spent) / p.gamma()) as usize;
+    served.extend(session.answer_many(&req, &db, fill).expect("fits"));
+
+    let mut replay = SplitSeed::new(seed).stream(0);
+    assert_eq!(
+        served,
+        p.run_many(&db, served.len(), &mut replay),
+        "{}",
+        D::NAME
+    );
+    let left = budget - served.len() as f64 * p.gamma();
+    assert!(left < p.gamma(), "{}: {left} left", D::NAME);
+    assert_eq!(
+        session.accountant().remaining_exact(),
+        Dyadic::from_f64_ceil(left)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn answer_many_charges_before_it_draws(
+        eighths in 1u64..40,
+        den_log in 0u32..4,
+        n in 0usize..24,
+        seed in any::<u64>(),
+    ) {
+        let budget = eighths as f64 / 8.0;
+        charges_before_it_draws::<PureDp>(budget, 1 << den_log, n, seed);
+        charges_before_it_draws::<Zcdp>(budget, 1 << den_log, n, seed);
+    }
 }

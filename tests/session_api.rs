@@ -611,3 +611,42 @@ fn overflowing_batch_unit_count_is_refused_not_wrapped() {
     assert_eq!(async_.accountant().spent_exact(), &Dyadic::zero());
     assert_eq!(block_on(async_.answer_async(&small, &db)).unwrap(), first);
 }
+
+/// A per-principal workload that does not fit is refused before any
+/// query is answered: the refusal names the principal and spends nothing
+/// of theirs, and the next principal's workload is answered from the
+/// start of the untouched stream.
+#[test]
+fn per_principal_workload_refusal_is_attributed_and_draws_nothing() {
+    let queries: Vec<Query<i64>> = (0..6)
+        .map(|i| Query::new(format!("count-{i}"), 1, |db: &[i64]| db.len() as i64))
+        .collect();
+    let db: Vec<i64> = (0..20).collect();
+    let mut session = Session::<PureDp>::builder()
+        .exact()
+        .registry(1.0)
+        .inline()
+        .seeded(17)
+        .build_per_principal();
+
+    // 6 × ε/4 = 3/2 does not fit an allowance of 1.
+    let six = workload_request::<PureDp, i64>(&queries, 1, 4);
+    let err = session.answer_for(1, &six, &db).unwrap_err();
+    let refusal = err.as_budget().expect("budget refusal");
+    assert_eq!(refusal.principal, Some(1));
+    assert_eq!(refusal.requested, Dyadic::from_f64_ceil(1.5));
+    assert_eq!(refusal.remaining, Dyadic::from(1u64));
+    assert_eq!(session.accountant().spent_exact(1), Dyadic::zero());
+
+    // 4 × ε/4 = 1 fits principal 2's allowance exactly.
+    let four = workload_request::<PureDp, i64>(&queries[..4], 1, 4);
+    let got = session.answer_for(2, &four, &db).expect("fits exactly");
+    let mut replay = SplitSeed::new(17).stream(0);
+    let expect: Vec<i64> = queries[..4]
+        .iter()
+        .map(|q| Private::<PureDp, i64, i64>::noised_query(q, 1, 4).run(&db, &mut replay))
+        .collect();
+    assert_eq!(got, expect, "the refused workload drew entropy");
+    assert_eq!(session.accountant().spent_exact(2), Dyadic::from(1u64));
+    assert_eq!(session.accountant().spent_exact(1), Dyadic::zero());
+}
