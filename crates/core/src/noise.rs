@@ -35,19 +35,22 @@ pub trait DpNoise: AbstractDp {
     fn noise_priv(gamma_num: u64, gamma_den: u64) -> f64;
 }
 
+/// The noise scale's numerator `Δ·γ₂`, as an exact natural: the `u64`
+/// product can wrap, which would under-noise a release priced at γ₁/γ₂.
+fn scale_numerator<T>(query: &Query<T>, gamma_den: u64) -> Nat {
+    Nat::from(query.sensitivity()).mul_u64(gamma_den)
+}
+
 /// Builds the executable + analytic mechanism for Laplace noise with scale
 /// `scale_num/scale_den` around the query value.
 fn laplace_noise_mechanism<T: 'static>(
     query: &Query<T>,
-    scale_num: u64,
+    scale_num: &Nat,
     scale_den: u64,
 ) -> Mechanism<T, i64> {
-    let sampler = discrete_laplace::<Sampling>(
-        &Nat::from(scale_num),
-        &Nat::from(scale_den),
-        LaplaceAlg::Switched,
-    );
-    let scale = scale_num as f64 / scale_den as f64;
+    let sampler =
+        discrete_laplace::<Sampling>(scale_num, &Nat::from(scale_den), LaplaceAlg::Switched);
+    let scale = scale_num.to_f64() / scale_den as f64;
     let radius = laplace_radius(scale);
     let q1 = query.clone();
     let q2 = query.clone();
@@ -65,7 +68,7 @@ impl DpNoise for PureDp {
             gamma_num > 0 && gamma_den > 0,
             "noise: zero privacy parameter"
         );
-        laplace_noise_mechanism(query, query.sensitivity() * gamma_den, gamma_num)
+        laplace_noise_mechanism(query, &scale_numerator(query, gamma_den), gamma_num)
     }
 
     fn noise_priv(gamma_num: u64, gamma_den: u64) -> f64 {
@@ -77,15 +80,12 @@ impl DpNoise for PureDp {
 /// σ = `sigma_num/sigma_den` around the query value.
 fn gaussian_noise_mechanism<T: 'static>(
     query: &Query<T>,
-    sigma_num: u64,
+    sigma_num: &Nat,
     sigma_den: u64,
 ) -> Mechanism<T, i64> {
-    let sampler = discrete_gaussian::<Sampling>(
-        &Nat::from(sigma_num),
-        &Nat::from(sigma_den),
-        LaplaceAlg::Switched,
-    );
-    let sigma2 = (sigma_num as f64 / sigma_den as f64).powi(2);
+    let sampler =
+        discrete_gaussian::<Sampling>(sigma_num, &Nat::from(sigma_den), LaplaceAlg::Switched);
+    let sigma2 = (sigma_num.to_f64() / sigma_den as f64).powi(2);
     let radius = gaussian_radius(sigma2);
     let q1 = query.clone();
     let q2 = query.clone();
@@ -103,7 +103,7 @@ impl DpNoise for Zcdp {
             gamma_num > 0 && gamma_den > 0,
             "noise: zero privacy parameter"
         );
-        gaussian_noise_mechanism(query, query.sensitivity() * gamma_den, gamma_num)
+        gaussian_noise_mechanism(query, &scale_numerator(query, gamma_den), gamma_num)
     }
 
     fn noise_priv(gamma_num: u64, gamma_den: u64) -> f64 {
@@ -119,7 +119,7 @@ impl<const ALPHA: u32> DpNoise for RenyiDp<ALPHA> {
             gamma_num > 0 && gamma_den > 0,
             "noise: zero privacy parameter"
         );
-        gaussian_noise_mechanism(query, query.sensitivity() * gamma_den, gamma_num)
+        gaussian_noise_mechanism(query, &scale_numerator(query, gamma_den), gamma_num)
     }
 
     fn noise_priv(gamma_num: u64, gamma_den: u64) -> f64 {
@@ -211,5 +211,24 @@ mod tests {
     fn zero_gamma_rejected() {
         let q = count_query::<u8>();
         let _ = PureDp::noise(&q, 0, 1);
+    }
+
+    #[test]
+    fn scale_numerator_does_not_wrap() {
+        // γ = 2⁶¹/2⁶³ = 1/4 on a sensitivity-3 query: Δ·γ₂ = 3·2⁶³ does
+        // not fit a u64, and the mechanism must still draw at scale 12.
+        let q = Query::new("3count", 3, |db: &[u8]| 3 * db.len() as i64);
+        let wide = PureDp::noise(&q, 1 << 61, 1 << 63);
+        let reduced = PureDp::noise(&q, 1, 4);
+        let db = vec![0u8; 10];
+        assert!(wide.dist(&db) == reduced.dist(&db));
+        let mut src = SeededByteSource::new(11);
+        let n = 20_000;
+        let total: i64 = (0..n).map(|_| (wide.run(&db, &mut src) - 30).abs()).sum();
+        let mean = total as f64 / n as f64;
+        assert!(
+            (mean - 12.0).abs() < 0.6,
+            "mean |noise| = {mean}, want ≈ 12"
+        );
     }
 }

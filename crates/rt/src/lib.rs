@@ -8,12 +8,13 @@
 //! and [`std::task::Wake`] — no async ecosystem crates, in the same
 //! vendored-shim spirit as the rest of the workspace):
 //!
-//! - [`Runtime`] — a hand-rolled work-stealing executor: per-worker run
-//!   queues, a shared injector, a condvar park loop, and
+//! - [`Runtime`] — a hand-rolled executor: one shared run queue, a
+//!   fixed set of workers parked on a condvar, and
 //!   [`spawn`](Runtime::spawn)/[`JoinHandle`]/[`block_on`] as the whole
-//!   API surface. Tasks are polled wherever a worker is free; which
-//!   worker serves a request is unobservable, so stealing here is pure
-//!   load balancing.
+//!   API surface. Any free worker takes the next task; which worker
+//!   serves a request is unobservable, so this is pure load balancing.
+//!   A task that panics does not take its worker down: its handle
+//!   re-raises the panic.
 //! - [`Ingress`] — a bounded MPMC queue that **sheds at the door**:
 //!   [`try_push`](Ingress::try_push) refuses immediately when the queue
 //!   is at capacity, handing the request back with a
@@ -23,9 +24,9 @@
 //!   backlog.
 //! - [`RtExecutor`] — the draw-plane backend: fixed contiguous lanes
 //!   with persistent per-lane byte streams, implementing the core
-//!   `Executor` trait. The draw plane does **not**
-//!   steal (see [`pool`]) — determinism pins each chunk to its lane;
-//!   elasticity lives in the runtime above.
+//!   `Executor` trait. The draw plane is **static** (see [`pool`]) —
+//!   determinism pins each chunk to its lane; elasticity lives in the
+//!   runtime above.
 //!
 //! ## The shed-before-charge invariant
 //!

@@ -4,15 +4,15 @@
 //! The serving stack has two planes with deliberately different
 //! scheduling:
 //!
-//! - the **request plane** (the [`Runtime`](crate::Runtime)) steals
-//!   work freely — which worker polls a request's future is
-//!   unobservable, so migration is pure load balancing;
+//! - on the **request plane** (the [`Runtime`](crate::Runtime)) any
+//!   free worker takes the next task — which worker polls a request's
+//!   future is unobservable, so this is pure load balancing;
 //! - the **draw plane** (this executor) keeps the *static contiguous
 //!   partition* ([`sampcert_core::lane_partition`]): lane `i` always
 //!   serves chunk `i` from its own persistent byte stream
 //!   (`root.stream(i)` under [`Entropy::Seeded`]).
 //!
-//! Stealing on the draw plane would break the byte-stream determinism
+//! Moving chunks between lanes would break the byte-stream determinism
 //! contract: which stream an answer came from must be a function of the
 //! request, not the scheduler. An `RtExecutor` batch is therefore
 //! stream-for-stream identical to a per-lane sequential replay — lane
@@ -34,7 +34,7 @@ struct Lane {
 }
 
 /// A fixed-lane draw executor for the async serving runtime. See the
-/// [module docs](self) for why the draw plane does not steal.
+/// [module docs](self) for why the draw plane is static.
 pub struct RtExecutor {
     lanes: Vec<Lane>,
 }

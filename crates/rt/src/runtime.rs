@@ -1,87 +1,56 @@
-//! The hand-rolled executor: per-worker run queues, a shared injector,
-//! work stealing, and a condvar park loop.
+//! The hand-rolled executor: one shared run queue served by a fixed set
+//! of worker threads.
 //!
-//! No `unsafe`, no dependencies: tasks are `Arc`-shared state machines
-//! whose wakers come from [`std::task::Wake`], and workers are plain
-//! [`std::thread`]s. The design is the classic small work-stealing
-//! executor:
+//! No `unsafe`, no dependencies: tasks are `Arc`-shared futures whose
+//! wakers come from [`std::task::Wake`], and workers are plain
+//! [`std::thread`]s.
 //!
-//! - every task has a **home queue** (round-robin at spawn), so steady
-//!   load spreads without coordination;
-//! - a worker pops its own queue first (FIFO), then the shared
-//!   **injector** (tasks woken from outside the pool land there), then
-//!   **steals** from the back of sibling queues;
-//! - an idle worker parks on a condvar tied to the injector lock; every
-//!   push notifies under that lock, so wakeups cannot be lost.
-//!
-//! Scheduling state per task is one atomic (`Idle / Queued / Running /
-//! Notified / Done`): a wake during a poll moves `Running → Notified`,
-//! and the polling worker re-queues the task instead of dropping the
-//! wake — the standard protocol for never losing a wakeup without
-//! holding a lock across `poll`.
+//! - Spawned and woken tasks join the back of one FIFO queue, and any
+//!   idle worker pops the front. The queue and the shutdown flag sit
+//!   behind one mutex, and idle workers park on its condvar.
+//! - A task's only scheduling state is its `queued` flag. A wake queues
+//!   the task only if the flag was clear, and the worker clears it
+//!   *before* it polls, so a wake that arrives during a poll queues the
+//!   task again and is not lost. The future's mutex is held across the
+//!   poll, so such a task waits for the poll in flight to end.
+//! - A panic in a poll is caught: the future is dropped, the worker goes
+//!   on, and the task's [`JoinHandle`] re-raises the panic.
 
 use std::collections::VecDeque;
 use std::future::Future;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Wake, Waker};
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
-/// Task scheduling states (the one-atomic wake protocol).
-const IDLE: u8 = 0;
-const QUEUED: u8 = 1;
-const RUNNING: u8 = 2;
-const NOTIFIED: u8 = 3;
-const DONE: u8 = 4;
-
-/// One spawned future plus its scheduling state. `Arc<Task>` doubles as
-/// the waker (via [`Wake`]).
+/// One spawned future plus its `queued` flag. `Arc<Task>` doubles as the
+/// waker (via [`Wake`]).
 struct Task {
-    /// The future; taken while a worker polls it, restored on `Pending`.
+    /// The future; `None` once it has completed or panicked.
     future: Mutex<Option<BoxFuture>>,
-    state: AtomicU8,
-    /// Preferred worker queue (round-robin at spawn).
-    home: usize,
+    queued: AtomicBool,
     shared: Arc<Shared>,
 }
 
 impl Task {
     /// Polls the task once. Called by a worker that dequeued it.
     fn run(self: &Arc<Self>) {
-        if self
-            .state
-            .compare_exchange(QUEUED, RUNNING, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            // Completed (or never queued) — a stale queue entry.
-            return;
-        }
-        let Some(mut future) = self.future.lock().expect("task future poisoned").take() else {
-            self.state.store(DONE, Ordering::Release);
-            return;
-        };
-        let waker = Waker::from(Arc::clone(self));
-        let mut cx = Context::from_waker(&waker);
-        match future.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                self.state.store(DONE, Ordering::Release);
-            }
-            Poll::Pending => {
-                // Restore the future *before* leaving `Running`, so a
-                // re-queued task always finds it.
-                *self.future.lock().expect("task future poisoned") = Some(future);
-                if self
-                    .state
-                    .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    // A wake arrived mid-poll (`Running → Notified`):
-                    // honour it by re-queueing ourselves.
-                    self.state.store(QUEUED, Ordering::Release);
-                    self.shared.push(Arc::clone(self));
-                }
+        let mut slot = self.future.lock().expect("task future poisoned");
+        // A wake from here on queues the task again. The swap acquires
+        // what the waker wrote before it set the flag.
+        self.queued.swap(false, Ordering::AcqRel);
+        // `None` is a stale queue entry of a completed task.
+        if let Some(future) = slot.as_mut() {
+            let waker = Waker::from(Arc::clone(self));
+            if future
+                .as_mut()
+                .poll(&mut Context::from_waker(&waker))
+                .is_ready()
+            {
+                *slot = None;
             }
         }
     }
@@ -89,116 +58,53 @@ impl Task {
 
 impl Wake for Task {
     fn wake(self: Arc<Self>) {
-        loop {
-            match self.state.load(Ordering::Acquire) {
-                IDLE => {
-                    if self
-                        .state
-                        .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        let shared = Arc::clone(&self.shared);
-                        shared.push(self);
-                        return;
-                    }
-                }
-                RUNNING => {
-                    if self
-                        .state
-                        .compare_exchange(RUNNING, NOTIFIED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        return;
-                    }
-                }
-                // Already queued / notified / done: the wake coalesces.
-                _ => return,
-            }
+        // Releases what the waker wrote to the worker's swap in `run`.
+        if !self.queued.swap(true, Ordering::AcqRel) {
+            let shared = Arc::clone(&self.shared);
+            shared.push(self);
         }
     }
 }
 
 /// State shared between the [`Runtime`] handle and its workers.
 struct Shared {
-    /// Per-worker run queues. Owner pops the front; thieves pop the back.
-    queues: Vec<Mutex<VecDeque<Arc<Task>>>>,
-    /// Overflow / external-wake queue, also the sleep lock: idle workers
-    /// park on [`Shared::idle`] holding this mutex, and every push
-    /// notifies under it, which is what makes lost wakeups impossible.
-    injector: Mutex<VecDeque<Arc<Task>>>,
-    idle: Condvar,
-    shutdown: AtomicBool,
+    queue: Mutex<RunQueue>,
+    /// Idle workers park here, on `queue`'s lock.
+    ready: Condvar,
+}
+
+struct RunQueue {
+    tasks: VecDeque<Arc<Task>>,
+    /// Set by the runtime's drop; read only once `tasks` is empty.
+    shutdown: bool,
 }
 
 impl Shared {
-    /// Queues a task on its home queue and wakes one sleeper.
+    fn lock(&self) -> MutexGuard<'_, RunQueue> {
+        self.queue.lock().expect("run queue poisoned")
+    }
+
+    /// Queues a task at the back and wakes one idle worker.
     fn push(&self, task: Arc<Task>) {
-        let home = task.home % self.queues.len();
-        self.queues[home]
-            .lock()
-            .expect("run queue poisoned")
-            .push_back(task);
-        // Touch the injector lock so the notify synchronizes with any
-        // worker deciding to sleep (see `worker_loop`).
-        let _guard = self.injector.lock().expect("injector poisoned");
-        self.idle.notify_one();
-    }
-
-    /// Pop order: own queue front, injector front, then steal one task
-    /// from the back of each sibling queue.
-    fn find_work(&self, index: usize) -> Option<Arc<Task>> {
-        if let Some(task) = self.queues[index]
-            .lock()
-            .expect("run queue poisoned")
-            .pop_front()
-        {
-            return Some(task);
-        }
-        if let Some(task) = self.injector.lock().expect("injector poisoned").pop_front() {
-            return Some(task);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            let victim = (index + off) % n;
-            if let Some(task) = self.queues[victim]
-                .lock()
-                .expect("run queue poisoned")
-                .pop_back()
-            {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    /// Any task anywhere? Called under the injector lock before parking.
-    fn any_queued(&self, guard: &VecDeque<Arc<Task>>) -> bool {
-        !guard.is_empty()
-            || self
-                .queues
-                .iter()
-                .any(|q| !q.lock().expect("run queue poisoned").is_empty())
+        self.lock().tasks.push_back(task);
+        self.ready.notify_one();
     }
 }
 
-/// A worker's main loop: run until shutdown, parking when idle.
-fn worker_loop(shared: &Arc<Shared>, index: usize) {
+/// A worker's main loop: run queued tasks, park when there are none, and
+/// exit once the queue is empty and shutdown is set.
+fn worker_loop(shared: &Shared) {
+    let mut queue = shared.lock();
     loop {
-        if let Some(task) = shared.find_work(index) {
+        if let Some(task) = queue.tasks.pop_front() {
+            drop(queue);
             task.run();
-            continue;
-        }
-        let guard = shared.injector.lock().expect("injector poisoned");
-        if shared.shutdown.load(Ordering::Acquire) {
+            queue = shared.lock();
+        } else if queue.shutdown {
             return;
+        } else {
+            queue = shared.ready.wait(queue).expect("run queue poisoned");
         }
-        // Re-check under the lock: a producer that pushed after our
-        // `find_work` miss is either visible now, or is blocked on this
-        // lock and will notify once we wait.
-        if shared.any_queued(&guard) {
-            continue;
-        }
-        let _unused = shared.idle.wait(guard).expect("injector poisoned");
     }
 }
 
@@ -206,41 +112,31 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
 /// or [`join`](JoinHandle::join) it from a plain thread.
 ///
 /// Dropping the handle detaches the task (it keeps running).
-#[derive(Debug)]
 pub struct JoinHandle<T> {
-    state: Arc<JoinState<T>>,
+    slot: Arc<Mutex<JoinSlot<T>>>,
 }
 
-struct JoinState<T> {
-    slot: Mutex<JoinSlot<T>>,
-    done: Condvar,
-}
-
-impl<T> std::fmt::Debug for JoinState<T> {
+impl<T> std::fmt::Debug for JoinHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("JoinState { .. }")
+        f.debug_struct("JoinHandle").finish_non_exhaustive()
     }
 }
 
 enum JoinSlot<T> {
     /// Not finished; holds the waker of an awaiting task, if any.
     Pending(Option<Waker>),
-    /// Finished; the output waits to be taken.
-    Ready(Option<T>),
+    /// Finished; the output (or the task's panic) waits to be taken.
+    Ready(Option<std::thread::Result<T>>),
 }
 
-impl<T> JoinState<T> {
-    fn complete(&self, value: T) {
-        let mut slot = self.slot.lock().expect("join slot poisoned");
-        let waker = match std::mem::replace(&mut *slot, JoinSlot::Ready(Some(value))) {
-            JoinSlot::Pending(waker) => waker,
-            JoinSlot::Ready(_) => unreachable!("task completed twice"),
-        };
+/// Stores a finished task's output and wakes whoever awaits it.
+fn complete<T>(slot: &Mutex<JoinSlot<T>>, output: std::thread::Result<T>) {
+    let mut slot = slot.lock().expect("join slot poisoned");
+    if let JoinSlot::Pending(Some(waker)) =
+        std::mem::replace(&mut *slot, JoinSlot::Ready(Some(output)))
+    {
         drop(slot);
-        self.done.notify_all();
-        if let Some(waker) = waker {
-            waker.wake();
-        }
+        waker.wake();
     }
 }
 
@@ -250,26 +146,17 @@ impl<T> JoinHandle<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the output was already taken (the handle was polled to
-    /// completion and then joined).
+    /// Re-raises the task's panic if it panicked. Panics if the output
+    /// was already taken (the handle was polled to completion and then
+    /// joined).
     pub fn join(self) -> T {
-        let mut slot = self.state.slot.lock().expect("join slot poisoned");
-        loop {
-            match &mut *slot {
-                JoinSlot::Ready(value) => {
-                    return value.take().expect("join handle output already taken")
-                }
-                JoinSlot::Pending(_) => {
-                    slot = self.state.done.wait(slot).expect("join slot poisoned");
-                }
-            }
-        }
+        block_on(self)
     }
 
     /// Whether the task has finished (non-blocking).
     pub fn is_finished(&self) -> bool {
         matches!(
-            &*self.state.slot.lock().expect("join slot poisoned"),
+            &*self.slot.lock().expect("join slot poisoned"),
             JoinSlot::Ready(_)
         )
     }
@@ -278,36 +165,35 @@ impl<T> JoinHandle<T> {
 impl<T> Future for JoinHandle<T> {
     type Output = T;
 
+    /// Resolves to the task's output, or re-raises the task's panic.
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut slot = self.state.slot.lock().expect("join slot poisoned");
-        match &mut *slot {
-            JoinSlot::Ready(value) => {
-                Poll::Ready(value.take().expect("join handle output already taken"))
-            }
+        let mut slot = self.slot.lock().expect("join slot poisoned");
+        let output = match &mut *slot {
+            JoinSlot::Ready(output) => output.take().expect("join handle output already taken"),
             JoinSlot::Pending(waker) => {
                 *waker = Some(cx.waker().clone());
-                Poll::Pending
+                return Poll::Pending;
             }
-        }
+        };
+        // Unwind with the lock released, so the slot is not poisoned.
+        drop(slot);
+        Poll::Ready(output.unwrap_or_else(|panic| resume_unwind(panic)))
     }
 }
 
-/// The work-stealing runtime: `N` worker threads serving spawned tasks
-/// from per-worker queues with stealing.
+/// The runtime: `N` worker threads serving spawned tasks from one shared
+/// run queue.
 ///
 /// Dropping the runtime sets the shutdown flag and joins the workers. A
-/// worker reads that flag only once it finds no queued task anywhere, so
-/// the drop first drains every queue: each task queued before or during
-/// the drop is polled until it completes or returns `Pending`. What can
-/// be lost is a task parked `Pending` whose wake arrives after the last
-/// worker has exited; it is queued but never polled again, and a
-/// [`JoinHandle`] for it never resolves. Join what you need before
-/// dropping.
+/// worker reads that flag only once it finds the queue empty, so the
+/// drop first drains it: each task queued before or during the drop is
+/// polled until it completes or returns `Pending`. What can be lost is a
+/// task parked `Pending` whose wake arrives after the last worker has
+/// exited; it is queued but never polled again, and a [`JoinHandle`]
+/// for it never resolves. Join what you need before dropping.
 pub struct Runtime {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    /// Round-robin home-queue cursor for spawns.
-    next_home: AtomicUsize,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -321,27 +207,23 @@ impl std::fmt::Debug for Runtime {
 impl Runtime {
     /// Starts `workers` worker threads (clamped to at least one).
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            idle: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(RunQueue {
+                tasks: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
         });
-        let threads = (0..workers)
+        let workers = (0..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("sampcert-rt-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn runtime worker")
             })
             .collect();
-        Runtime {
-            shared,
-            workers: threads,
-            next_home: AtomicUsize::new(0),
-        }
+        Runtime { shared, workers }
     }
 
     /// Number of worker threads.
@@ -350,49 +232,49 @@ impl Runtime {
     }
 
     /// Spawns a future onto the runtime, returning a handle to its
-    /// output. The task starts on a round-robin home queue and may be
-    /// stolen by any worker.
+    /// output. The task joins the back of the run queue, and whichever
+    /// worker is free polls it.
+    ///
+    /// A panic in the future is caught: the future is dropped, the
+    /// worker goes on, and the handle re-raises the panic.
     pub fn spawn<F>(&self, future: F) -> JoinHandle<F::Output>
     where
         F: Future + Send + 'static,
         F::Output: Send + 'static,
     {
-        let state = Arc::new(JoinState {
-            slot: Mutex::new(JoinSlot::Pending(None)),
-            done: Condvar::new(),
-        });
-        let completion = Arc::clone(&state);
+        let slot = Arc::new(Mutex::new(JoinSlot::Pending(None)));
+        let completion = Arc::clone(&slot);
         let wrapped = async move {
-            let value = future.await;
-            completion.complete(value);
+            let output = {
+                let mut future = std::pin::pin!(future);
+                std::future::poll_fn(|cx| {
+                    match catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(cx))) {
+                        Ok(Poll::Pending) => Poll::Pending,
+                        Ok(Poll::Ready(value)) => Poll::Ready(Ok(value)),
+                        Err(panic) => Poll::Ready(Err(panic)),
+                    }
+                })
+                .await
+            };
+            complete(&completion, output);
         };
         let task = Arc::new(Task {
             future: Mutex::new(Some(Box::pin(wrapped))),
-            state: AtomicU8::new(QUEUED),
-            home: self.next_home.fetch_add(1, Ordering::Relaxed),
+            queued: AtomicBool::new(true),
             shared: Arc::clone(&self.shared),
         });
         self.shared.push(task);
-        JoinHandle { state }
+        JoinHandle { slot }
     }
 }
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = self.shared.injector.lock().expect("injector poisoned");
-            self.idle_notify_all();
-        }
+        self.shared.lock().shutdown = true;
+        self.shared.ready.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-    }
-}
-
-impl Runtime {
-    fn idle_notify_all(&self) {
-        self.shared.idle.notify_all();
     }
 }
 
@@ -436,6 +318,7 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn spawn_and_join_many() {
@@ -469,10 +352,9 @@ mod tests {
     }
 
     #[test]
-    fn tasks_migrate_across_workers() {
-        // All tasks get home queue 0 via a single spawner, but a blocked
-        // worker cannot serve them all: completing every task within the
-        // timeout requires stealing.
+    fn blocked_worker_does_not_hold_back_queued_tasks() {
+        // One task blocks its worker inside a poll until every later task
+        // has finished: the other workers must serve the whole queue.
         let rt = Runtime::new(4);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let blocker = {
@@ -504,7 +386,7 @@ mod tests {
         let rt = Runtime::new(1);
         let shared = Arc::clone(&rt.shared);
         let mut handles = vec![rt.spawn(async move {
-            while !shared.shutdown.load(Ordering::Acquire) {
+            while !shared.lock().shutdown {
                 std::thread::yield_now();
             }
             0u32
@@ -522,5 +404,105 @@ mod tests {
         let inner = rt.spawn(async { 21u64 });
         let outer = rt.spawn(async move { inner.await * 2 });
         assert_eq!(outer.join(), 42);
+    }
+
+    /// Waits up to five seconds for `handle` to finish, so a lost task
+    /// fails the test instead of hanging it.
+    fn finishes_in_time<T>(handle: &JoinHandle<T>) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !handle.is_finished() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn a_panicking_task_leaves_its_worker_running() {
+        let rt = Runtime::new(1);
+        let panicked = rt.spawn(async { panic!("task blew up") });
+        let next = rt.spawn(async { 1u32 });
+        assert!(
+            finishes_in_time(&next),
+            "the only worker died with the panic"
+        );
+        assert_eq!(next.join(), 1);
+        let payload = catch_unwind(AssertUnwindSafe(|| panicked.join())).unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task blew up"));
+        // Awaiting a panicked task's handle re-raises the panic too, and
+        // the task that awaited it is caught in turn.
+        let inner = rt.spawn(async { panic!("inner") });
+        let outer = rt.spawn(async move {
+            inner.await;
+            1u32
+        });
+        let payload = catch_unwind(AssertUnwindSafe(|| outer.join())).unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"inner"));
+        assert_eq!(rt.spawn(async { 2u32 }).join(), 2);
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_when_woken_mid_poll() {
+        /// Returns `Pending` `left` times, each time handing its waker to
+        /// a new thread that wakes it at once, so the wake races the
+        /// rest of the poll.
+        struct WokenFromThread {
+            left: u32,
+            id: u64,
+        }
+        impl Future for WokenFromThread {
+            type Output = u64;
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u64> {
+                if self.left == 0 {
+                    return Poll::Ready(self.id);
+                }
+                self.left -= 1;
+                let waker = cx.waker().clone();
+                std::thread::spawn(move || waker.wake());
+                Poll::Pending
+            }
+        }
+        /// Wakes itself twice inside each poll, then returns `Pending`,
+        /// `left` times.
+        struct WakesItself {
+            left: u32,
+            id: u64,
+        }
+        impl Future for WakesItself {
+            type Output = u64;
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u64> {
+                if self.left == 0 {
+                    return Poll::Ready(self.id);
+                }
+                self.left -= 1;
+                cx.waker().wake_by_ref();
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
+        }
+        for workers in [1, 4] {
+            let rt = Runtime::new(workers);
+            let handles: Vec<_> = (0..8u64)
+                .flat_map(|id| {
+                    [
+                        rt.spawn(WokenFromThread { left: 20, id }),
+                        rt.spawn(WakesItself {
+                            left: 20,
+                            id: 100 + id,
+                        }),
+                    ]
+                })
+                .collect();
+            for handle in &handles {
+                assert!(
+                    finishes_in_time(handle),
+                    "a wakeup was lost on {workers} workers"
+                );
+            }
+            let sum: u64 = handles.into_iter().map(JoinHandle::join).sum();
+            assert_eq!(sum, (0..8).map(|id| 100 + 2 * id).sum::<u64>());
+        }
     }
 }
