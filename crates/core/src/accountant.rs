@@ -13,18 +13,16 @@
 //!   optimizing the order at conversion time gives strictly better `ε(δ)`
 //!   than converting each release separately.
 //!
-//! # Budget carriers and the rounding-direction contract
+//! # The exact carrier and the rounding-direction contract
 //!
-//! Both accountants are generic over a [`Budget`] carrier, defaulting to
-//! the classic `f64` meter. Instantiating with [`Dyadic`] instead (the
-//! [`ExactLedger`] / [`ExactRdpAccountant`] aliases) gives **exact**
+//! Both accountants meter in the [`Budget`] carrier [`Dyadic`]: **exact**
 //! accounting on the power-of-two lattice with shift-only normalization —
 //! the charge path performs *no gcd at all* (pinned by a
 //! `gcd_call_count` test), unlike a `Rat`-backed meter which pays a
 //! reduction per composition.
 //!
-//! `f64` parameters cross into the exact carrier under a conservative
-//! rounding contract, fixed once here and relied on everywhere:
+//! `f64` parameters cross into the carrier under a conservative rounding
+//! contract, fixed once here and relied on everywhere:
 //!
 //! - **charges round up** ([`Budget::charge_from_f64`]): a recorded cost
 //!   is never less than the real one, so the exact meter never
@@ -32,24 +30,21 @@
 //! - **budgets round down** ([`Budget::budget_from_f64`]): the enforced
 //!   allowance is never more than the stated one, so the exact meter never
 //!   over-grants;
-//! - the exact acceptance check is **strict** (no `1e-12` forgiveness —
-//!   that tolerance exists to absorb float rounding, which the exact
-//!   carrier does not have).
+//! - the acceptance check is **strict**: there is no float rounding to
+//!   forgive, so one lattice quantum over the budget is refused.
 //!
-//! Consequently an exact ledger is sound by construction: any disagreement
-//! with the float ledger about admitting a release resolves in the
-//! conservative direction.
+//! Consequently a ledger is sound by construction: it admits a release
+//! only if the rounded-up cost fits the rounded-down allowance exactly.
 //!
 //! ## Example: metering a session exactly
 //!
 //! ```
-//! use sampcert_core::{ExactLedger, Ledger, PureDp};
-//! use sampcert_arith::Dyadic;
+//! use sampcert_core::{Dyadic, Ledger, PureDp};
 //!
 //! // A budget of ε = 1, enforced exactly: charges are ε = 1/8 each, which
 //! // is dyadic, so nothing is lost in conversion and the ninth release is
 //! // refused with exact arithmetic (no tolerance, no drift).
-//! let mut ledger: ExactLedger<PureDp> = Ledger::new(1.0);
+//! let mut ledger: Ledger<PureDp> = Ledger::new(1.0);
 //! for i in 0..8 {
 //!     ledger.charge(format!("q{i}"), 0.125).unwrap();
 //! }
@@ -69,15 +64,8 @@ use crate::budget::Budget;
 use sampcert_arith::Dyadic;
 use std::marker::PhantomData;
 
-/// A [`Ledger`] metering exactly on the dyadic lattice (gcd-free).
-pub type ExactLedger<D> = Ledger<D, Dyadic>;
-
-/// An [`RdpAccountant`] whose per-order totals accumulate exactly.
-pub type ExactRdpAccountant = RdpAccountant<Dyadic>;
-
-/// A labelled privacy ledger for notion `D`, metering in carrier `B`
-/// (`f64` by default; see the module-level docs above for the exact
-/// variant).
+/// A labelled privacy ledger for notion `D`, metering exactly in carrier
+/// `B` (see the module-level docs above).
 ///
 /// # Examples
 ///
@@ -91,37 +79,33 @@ pub type ExactRdpAccountant = RdpAccountant<Dyadic>;
 /// assert_eq!(ledger.spent(), 0.75);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Ledger<D: AbstractDp, B: Budget = f64> {
+pub struct Ledger<D: AbstractDp, B: Budget = Dyadic> {
     budget: B,
     entries: Vec<(String, B)>,
     /// Cached composed total of `entries`, maintained incrementally so
     /// that `charge`/`spent` are O(1) instead of re-folding the whole
     /// history (which made an n-release session O(n²)). Invariant: equals
-    /// the left fold of `entries` under `B::compose::<D>` exactly — the
-    /// cache is updated with the same fold order the recomputation would
-    /// use, so not even the f64 rounding differs (and the exact carrier
-    /// has none to differ by).
+    /// the left fold of `entries` under `B::compose::<D>` exactly.
     spent: B,
     _notion: PhantomData<D>,
 }
 
 /// Error returned when a charge would exceed the ledger's budget.
 ///
-/// Generic in the budget carrier so an exact-ledger rejection reports the
-/// **exact** requested/remaining values (rendered as exact finite
-/// decimals by [`Dyadic`]'s `Display`) instead of a lossy `f64` cast.
+/// Reports the **exact** requested/remaining values (rendered as exact
+/// finite decimals by [`Dyadic`]'s `Display`) instead of a lossy `f64`
+/// cast.
 ///
-/// The rendered message names the budget **carrier** (so an operator can
-/// tell a strict exact refusal from a tolerant float one at a glance) and,
-/// for rejections raised by a [`BudgetRegistry`](crate::BudgetRegistry),
-/// the **principal** whose allowance refused:
+/// The rendered message names the budget **carrier** and, for rejections
+/// raised by a [`BudgetRegistry`](crate::BudgetRegistry), the
+/// **principal** whose allowance refused:
 ///
 /// ```text
-/// privacy budget exceeded: requested 0.5, remaining 0.25 [carrier: f64]
+/// privacy budget exceeded: requested 0.5, remaining 0.25 [carrier: dyadic]
 /// privacy budget exceeded: requested 0.5, remaining 0 [carrier: dyadic, principal: 42]
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct BudgetExceeded<B = f64> {
+pub struct BudgetExceeded<B = Dyadic> {
     /// The attempted charge.
     pub requested: B,
     /// Remaining budget at the time of the attempt.
@@ -173,8 +157,7 @@ impl<B: std::fmt::Display + std::fmt::Debug> std::error::Error for BudgetExceede
 impl<D: AbstractDp, B: Budget> Ledger<D, B> {
     /// Creates a ledger with a total budget, converted into the carrier
     /// with **downward** rounding (the conservative direction for an
-    /// allowance; exact whenever `budget` is representable — in
-    /// particular always for the `f64` carrier).
+    /// allowance; exact whenever `budget` is representable).
     ///
     /// # Panics
     ///
@@ -204,7 +187,7 @@ impl<D: AbstractDp, B: Budget> Ledger<D, B> {
     /// exceed the budget (the release should then not be executed).
     ///
     /// The charge crosses into the carrier with **upward** rounding
-    /// (conservative for spending; the identity on `f64`).
+    /// (conservative for spending).
     ///
     /// # Errors
     ///
@@ -234,9 +217,6 @@ impl<D: AbstractDp, B: Budget> Ledger<D, B> {
         assert!(gamma.is_valid(), "invalid charge");
         let new_spent = B::compose::<D>(&self.spent, &gamma);
         if B::exceeds(&new_spent, &self.budget) {
-            // Remaining is clamped at zero: the f64 carrier's acceptance
-            // tolerance lets `spent` overshoot the budget by up to 1e-12,
-            // which must not surface as a negative remaining budget.
             return Err(BudgetExceeded::new(
                 gamma,
                 self.budget.saturating_sub(&self.spent),
@@ -251,7 +231,7 @@ impl<D: AbstractDp, B: Budget> Ledger<D, B> {
     /// admitted right now — the same comparison, without recording
     /// anything (the session's admission probe).
     pub(crate) fn admits(&self, gamma: &B) -> bool {
-        gamma.is_valid() && !B::exceeds(&B::compose::<D>(&self.spent, gamma), &self.budget)
+        !B::exceeds(&B::compose::<D>(&self.spent, gamma), &self.budget)
     }
 
     /// Records a batch of `count` releases, each costing `gamma_each`,
@@ -259,9 +239,8 @@ impl<D: AbstractDp, B: Budget> Ledger<D, B> {
     /// it before any of the `count` answers is drawn. The batch is composed in
     /// O(1) via [`Budget::compose_n`] and recorded as a single entry
     /// holding the composed total, so charging a million-draw batch costs
-    /// the same as charging one release. On the exact carrier the
-    /// vectorized total equals `count` sequential [`charge`](Self::charge)
-    /// calls *exactly* (on `f64`, to within float rounding, as always).
+    /// the same as charging one release. The vectorized total equals
+    /// `count` sequential [`charge`](Self::charge) calls *exactly*.
     /// All-or-nothing: either the whole batch fits in the budget or the
     /// ledger is unchanged.
     ///
@@ -295,18 +274,7 @@ impl<D: AbstractDp, B: Budget> Ledger<D, B> {
         count: u64,
     ) -> Result<(), BudgetExceeded<B>> {
         assert!(gamma_each.is_valid(), "invalid charge");
-        let total = B::compose_n::<D>(&gamma_each, count);
-        if !total.is_valid() {
-            // A batch whose composed total overflows the carrier (f64
-            // infinity) certainly exceeds any finite budget; refuse it the
-            // same way an over-budget charge is refused instead of
-            // tripping `charge_exact`'s validity assertion.
-            return Err(BudgetExceeded::new(
-                total,
-                self.budget.saturating_sub(&self.spent),
-            ));
-        }
-        self.charge_exact(label, total)
+        self.charge_exact(label, B::compose_n::<D>(&gamma_each, count))
     }
 
     /// Total spent so far (composed additively, per `AbstractDP`),
@@ -318,7 +286,7 @@ impl<D: AbstractDp, B: Budget> Ledger<D, B> {
         self.spent.to_f64()
     }
 
-    /// Total spent so far, in the carrier (exact for exact carriers).
+    /// Total spent so far, in the carrier (exact).
     pub fn spent_exact(&self) -> &B {
         &self.spent
     }
@@ -347,10 +315,9 @@ impl<D: AbstractDp, B: Budget> Ledger<D, B> {
 /// A Rényi accountant: tracks `ε(α) ≥ D_α` for a grid of orders and
 /// converts to `(ε, δ)`-DP by optimizing the order.
 ///
-/// Generic in the [`Budget`] carrier accumulating the per-order totals
-/// (`f64` by default; [`ExactRdpAccountant`] accumulates exactly, with
-/// each per-release increment rounded **up** on conversion so the stored
-/// curve always dominates the real one).
+/// The per-order totals accumulate exactly in the [`Budget`] carrier,
+/// with each per-release increment rounded **up** on conversion so the
+/// stored curve always dominates the real one.
 ///
 /// # Examples
 ///
@@ -367,14 +334,13 @@ impl<D: AbstractDp, B: Budget> Ledger<D, B> {
 /// assert!(eps < 4.0, "eps = {eps}");
 /// ```
 #[derive(Debug, Clone)]
-pub struct RdpAccountant<B: Budget = f64> {
+pub struct RdpAccountant<B: Budget = Dyadic> {
     orders: Vec<f64>,
     eps: Vec<B>,
 }
 
 impl RdpAccountant {
-    /// An `f64`-carried accountant over the given Rényi orders (all must
-    /// exceed 1).
+    /// An accountant over the given Rényi orders (all must exceed 1).
     ///
     /// # Panics
     ///
@@ -384,15 +350,14 @@ impl RdpAccountant {
     }
 
     /// The conventional order grid (1.25 … 512, log-spaced plus small
-    /// integer orders), carried in `f64`.
+    /// integer orders).
     pub fn with_default_orders() -> Self {
         RdpAccountant::with_orders(RdpAccountant::default_order_grid())
     }
 
     /// The conventional order grid used by
-    /// [`with_default_orders`](Self::with_default_orders) — carrier-
-    /// independent (orders are always `f64`), so exact accountants reuse
-    /// it: `ExactRdpAccountant::with_orders(RdpAccountant::default_order_grid())`.
+    /// [`with_default_orders`](Self::with_default_orders) (orders are
+    /// always `f64`).
     pub fn default_order_grid() -> Vec<f64> {
         let mut orders: Vec<f64> = vec![1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0];
         let mut a = 12.0;
@@ -405,9 +370,7 @@ impl RdpAccountant {
 }
 
 impl<B: Budget> RdpAccountant<B> {
-    /// An accountant over the given Rényi orders (all must exceed 1), in
-    /// any carrier — `ExactRdpAccountant::with_orders(...)` is the exact
-    /// entry point.
+    /// An accountant over the given Rényi orders (all must exceed 1).
     ///
     /// # Panics
     ///
@@ -450,8 +413,7 @@ impl<B: Budget> RdpAccountant<B> {
     /// per-order RDP is additive, so the batch charge is the per-release
     /// charge scaled by `count` — O(grid) total, where `count` repeated
     /// [`add_gaussian`](Self::add_gaussian) calls cost O(count·grid).
-    /// Equal to the repeated calls exactly on the exact carrier, and to
-    /// within f64 rounding (pinned to 1e-12 by tests) on `f64`.
+    /// Equal to the repeated calls exactly.
     ///
     /// # Panics
     ///
@@ -472,7 +434,7 @@ impl<B: Budget> RdpAccountant<B> {
     /// Adds `count` i.i.d. pure ε-DP releases in one O(grid) pass; the
     /// vectorized form of `count` [`add_pure`](Self::add_pure) calls
     /// (each release's per-order charge is the same, so the batch is a
-    /// single scale — exact on the exact carrier).
+    /// single scale, exactly).
     pub fn add_pure_n(&mut self, eps: f64, count: u64) {
         assert!(eps.is_finite() && eps >= 0.0, "invalid epsilon");
         self.add_curve_n(|a| eps.min(a * eps * eps / 2.0), count);
@@ -527,7 +489,8 @@ mod tests {
         ledger.charge("q1", 0.2).unwrap();
         ledger.charge("q2", 0.25).unwrap();
         let err = ledger.charge("q3", 0.1).unwrap_err();
-        assert!((err.remaining - 0.05).abs() < 1e-12);
+        assert_eq!(err.remaining, ledger.remaining_exact());
+        assert!((err.remaining.to_f64() - 0.05).abs() < 1e-12);
         assert_eq!(ledger.entries().len(), 2);
         assert!((ledger.remaining() - 0.05).abs() < 1e-12);
     }
@@ -615,11 +578,8 @@ mod tests {
             for _ in 0..count {
                 looped.add_gaussian(7.5);
             }
-            for ((a, eb), (_, el)) in batched.curve().zip(looped.curve()) {
-                assert!(
-                    (eb - el).abs() <= 1e-12 * el.max(1.0),
-                    "count={count} alpha={a}: {eb} vs {el}"
-                );
+            for ((a, eb), (_, el)) in batched.curve_exact().zip(looped.curve_exact()) {
+                assert_eq!(eb, el, "count={count} alpha={a}");
             }
         }
     }
@@ -633,11 +593,8 @@ mod tests {
             for _ in 0..count {
                 looped.add_pure(0.1);
             }
-            for ((a, eb), (_, el)) in batched.curve().zip(looped.curve()) {
-                assert!(
-                    (eb - el).abs() <= 1e-12 * el.max(1.0),
-                    "count={count} alpha={a}: {eb} vs {el}"
-                );
+            for ((a, eb), (_, el)) in batched.curve_exact().zip(looped.curve_exact()) {
+                assert_eq!(eb, el, "count={count} alpha={a}");
             }
         }
     }
@@ -645,9 +602,9 @@ mod tests {
     #[test]
     fn exact_accountant_batch_equals_repeated_adds_exactly() {
         for count in [1u64, 7, 1000] {
-            let mut batched = ExactRdpAccountant::with_orders(vec![2.0, 8.0, 64.0]);
+            let mut batched = RdpAccountant::new(vec![2.0, 8.0, 64.0]);
             batched.add_gaussian_n(7.5, count);
-            let mut looped = ExactRdpAccountant::with_orders(vec![2.0, 8.0, 64.0]);
+            let mut looped = RdpAccountant::new(vec![2.0, 8.0, 64.0]);
             for _ in 0..count {
                 looped.add_gaussian(7.5);
             }
@@ -660,17 +617,17 @@ mod tests {
     #[test]
     fn exact_accountant_curve_dominates_f64_curve() {
         // Per-release charges round up, so the exact totals dominate the
-        // float totals (up to the float's own summation error, which the
-        // 1-ulp-per-term slack absorbs).
-        let mut exact = ExactRdpAccountant::with_orders(vec![2.0, 16.0]);
-        let mut float: RdpAccountant = RdpAccountant::with_orders(vec![2.0, 16.0]);
+        // same curves summed in f64 (up to the float's own summation
+        // error, which the 1-ulp-per-term slack absorbs).
+        let mut exact = RdpAccountant::new(vec![2.0, 16.0]);
         for _ in 0..100 {
             exact.add_gaussian(3.0);
-            float.add_gaussian(3.0);
             exact.add_pure(0.1);
-            float.add_pure(0.1);
         }
-        for ((_, de), (_, fe)) in exact.curve().zip(float.curve()) {
+        for (a, de) in exact.curve() {
+            let fe = (0..100).fold(0.0f64, |acc, _| {
+                acc + a / (2.0 * 9.0) + 0.1f64.min(a * 0.1 * 0.1 / 2.0)
+            });
             assert!(de >= fe * (1.0 - 1e-12), "{de} vs {fe}");
         }
     }
@@ -683,24 +640,27 @@ mod tests {
         for i in 0..1000 {
             looped.charge(format!("q{i}"), 0.001).unwrap();
         }
-        assert!((batched.spent() - looped.spent()).abs() < 1e-12);
+        assert_eq!(batched.spent_exact(), looped.spent_exact());
         assert_eq!(batched.entries().len(), 1);
         // A batch that would overrun is refused atomically.
+        let before = batched.spent_exact().clone();
         let err = batched.charge_batch("too-much", 0.01, 1000).unwrap_err();
-        assert!((err.requested - 10.0).abs() < 1e-9);
-        assert!((batched.spent() - 1.0).abs() < 1e-12, "ledger mutated");
+        assert_eq!(err.requested, Dyadic::from_f64_ceil(0.01).mul_u64(1000));
+        assert_eq!(batched.spent_exact(), &before, "ledger mutated");
     }
 
     #[test]
     fn charge_batch_overflowing_total_is_refused_not_panicked() {
         let mut ledger: Ledger<PureDp> = Ledger::new(1.0);
         ledger.charge("a", 0.25).unwrap();
-        // 1e308 × 10 overflows to +inf: must come back as BudgetExceeded,
-        // exactly like the per-release path's over-budget refusal.
+        // 1e308 × 10 is past any f64, but not past the exact carrier: the
+        // batch comes back as BudgetExceeded with the exact requested
+        // total, like the per-release path's over-budget refusal.
         let err = ledger.charge_batch("huge", 1e308, 10).unwrap_err();
-        assert!(err.requested.is_infinite());
-        assert!((err.remaining - 0.75).abs() < 1e-12);
-        assert!((ledger.spent() - 0.25).abs() < 1e-12, "ledger mutated");
+        assert_eq!(err.requested, Dyadic::from_f64_ceil(1e308).mul_u64(10));
+        assert_eq!(err.remaining, Dyadic::from_f64_floor(0.75));
+        assert_eq!(ledger.spent_exact(), &Dyadic::from_f64_ceil(0.25));
+        assert_eq!(ledger.entries().len(), 1, "ledger mutated");
     }
 
     #[test]
@@ -709,32 +669,29 @@ mod tests {
         ledger.charge_batch("empty", 0.5, 0).unwrap();
         assert_eq!(ledger.spent(), 0.0);
         // A zero budget admits only zero charges.
-        let mut dry: ExactLedger<PureDp> = Ledger::new(0.0);
+        let mut dry: Ledger<PureDp> = Ledger::new(0.0);
         dry.charge("free", 0.0).unwrap();
         assert!(dry.charge("tiny", 1e-9).is_err());
     }
 
     /// `BudgetExceeded::remaining` must never report a negative budget:
-    /// the f64 acceptance tolerance lets `spent` exceed the budget by up
-    /// to 1e-12, and the clamp keeps the error message (and any retry
-    /// logic keyed on it) sane.
+    /// a ledger spent to the last lattice bit refuses with exactly zero
+    /// remaining, which keeps the error message (and any retry logic
+    /// keyed on it) sane.
     #[test]
     fn budget_exceeded_remaining_is_clamped_at_zero() {
         let mut ledger: Ledger<PureDp> = Ledger::new(1.0);
-        // Accepted within the 1e-12 tolerance; spent now exceeds budget.
-        ledger.charge("a", 1.0 + 1e-13).unwrap();
-        assert!(ledger.spent() > 1.0);
+        ledger.charge("a", 1.0).unwrap();
         let err = ledger.charge("b", 0.5).unwrap_err();
-        assert!(err.remaining >= 0.0, "remaining={}", err.remaining);
-        assert_eq!(err.remaining, 0.0);
+        assert_eq!(err.remaining, Dyadic::zero());
         assert_eq!(ledger.remaining(), 0.0);
     }
 
     #[test]
     fn exact_ledger_has_no_acceptance_tolerance() {
-        // The same 1e-13 overshoot that the f64 carrier forgives is
-        // refused exactly by the dyadic carrier.
-        let mut ledger: ExactLedger<PureDp> = Ledger::new(1.0);
+        // A 1e-13 overshoot is refused: there is no float rounding to
+        // forgive.
+        let mut ledger: Ledger<PureDp> = Ledger::new(1.0);
         let err = ledger.charge("a", 1.0 + 1e-13).unwrap_err();
         assert_eq!(err.remaining, Dyadic::from(1u64));
         assert_eq!(ledger.entries().len(), 0);
@@ -759,12 +716,12 @@ mod tests {
         }
         assert_eq!(ledger.entries().len(), 500);
         // The cached total must equal re-folding the recorded entries
-        // bit-for-bit (same left-fold order).
+        // exactly.
         let refold = ledger
             .entries()
             .iter()
-            .fold(0.0, |acc, (_, g)| PureDp::compose(acc, *g));
-        assert_eq!(ledger.spent(), refold);
+            .fold(Dyadic::zero(), |acc, (_, g)| &acc + g);
+        assert_eq!(ledger.spent_exact(), &refold);
     }
 
     /// Pins the rejection message shape: operators triage refusals from
@@ -772,26 +729,26 @@ mod tests {
     /// registry refusals — the principal whose allowance ran dry.
     #[test]
     fn budget_exceeded_message_names_carrier_and_principal() {
-        let mut f64_ledger: Ledger<PureDp> = Ledger::new(1.0);
-        f64_ledger.charge("warmup", 0.75).unwrap();
-        let err = f64_ledger.charge("big", 0.5).unwrap_err();
+        let mut ledger: Ledger<PureDp> = Ledger::new(1.0);
+        ledger.charge("warmup", 0.75).unwrap();
+        let err = ledger.charge("big", 0.5).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "privacy budget exceeded: requested 0.5, remaining 0.25 [carrier: f64]"
+            "privacy budget exceeded: requested 0.5, remaining 0.25 [carrier: dyadic]"
         );
 
-        let mut exact: ExactLedger<PureDp> = Ledger::new(1.0);
-        let err = exact.charge("big", 1.5).unwrap_err();
+        let mut fresh: Ledger<PureDp> = Ledger::new(1.0);
+        let err = fresh.charge("big", 1.5).unwrap_err();
         assert_eq!(
             err.to_string(),
             "privacy budget exceeded: requested 1.5, remaining 1 [carrier: dyadic]"
         );
 
         // Principal attribution renders inside the same bracket.
-        let err = BudgetExceeded::<f64>::new(0.5, 0.0).for_principal(42);
+        let err = BudgetExceeded::new(Dyadic::from_f64_ceil(0.5), Dyadic::zero()).for_principal(42);
         assert_eq!(
             err.to_string(),
-            "privacy budget exceeded: requested 0.5, remaining 0 [carrier: f64, principal: 42]"
+            "privacy budget exceeded: requested 0.5, remaining 0 [carrier: dyadic, principal: 42]"
         );
         assert_eq!(err.principal, Some(42));
     }

@@ -1,20 +1,15 @@
-//! The budget value space of the accounting layer: `f64` or exact
-//! [`Dyadic`], behind one trait.
+//! The budget value space of the accounting layer: exact [`Dyadic`],
+//! behind one trait.
 //!
 //! [`Ledger`](crate::Ledger) and [`RdpAccountant`](crate::RdpAccountant)
-//! meter privacy spending in some numeric carrier. The paper's whole point
-//! is that guarantees are *exact*, so the carrier should be too — but an
-//! `f64` ledger is what most deployments run, and the exact carrier must
-//! not reintroduce the gcd-per-reduction cost of [`Rat`]. [`Budget`]
-//! abstracts the carrier so the accountants are written once:
-//!
-//! - **`f64`**: the classic float ledger, bit-for-bit the pre-trait
-//!   behaviour (composition delegates to [`AbstractDp::compose`], the
-//!   acceptance check keeps its `1e-12` tolerance);
-//! - **[`Dyadic`]**: exact accounting on the power-of-two lattice.
-//!   Addition, scaling and comparison are shift-and-add only — **no gcd on
-//!   the charge path** (pinned by a counter test) — and the acceptance
-//!   check is strict, since there is no rounding to forgive.
+//! meter privacy spending in one numeric carrier. The paper's whole point
+//! is that guarantees are *exact*, so the carrier is too, and it must not
+//! reintroduce the gcd-per-reduction cost of [`Rat`]. [`Dyadic`] meters
+//! on the power-of-two lattice: addition, scaling and comparison are
+//! shift-and-add only — **no gcd on the charge path** (pinned by a counter
+//! test) — and the acceptance check is strict, since there is no rounding
+//! to forgive. [`Budget`] names the carrier's operations so the
+//! accountants are written once against them.
 //!
 //! # The conservative rounding contract
 //!
@@ -28,10 +23,10 @@
 //! - [`Budget::budget_from_f64`] rounds **down** (the enforced allowance
 //!   is ≤ the stated one).
 //!
-//! For `f64` both are the identity; for [`Dyadic`] they are the directed
-//! lattice conversions. Under this contract an exact ledger's refusals are
-//! always sound: whenever the float ledger and the exact ledger disagree
-//! about admitting a release, the exact one is the conservative answer.
+//! Under this contract every refusal is sound: a charge is admitted only
+//! if the rounded-up cost fits the rounded-down allowance exactly.
+//!
+//! [`Rat`]: sampcert_arith::Rat
 
 use crate::abstract_dp::AbstractDp;
 use sampcert_arith::Dyadic;
@@ -57,21 +52,20 @@ pub trait Budget:
     fn add(&self, other: &Self) -> Self;
 
     /// Plain `n`-fold scaling — the vectorized form of folding
-    /// [`add`](Self::add) `n` times from zero (exact for exact carriers).
+    /// [`add`](Self::add) `n` times from zero, exactly.
     fn scale(&self, n: u64) -> Self;
 
     /// Folds one more charge into a running total under notion `D`.
     ///
-    /// The `f64` carrier delegates to [`AbstractDp::compose`]; exact
-    /// carriers add exactly, which coincides because composition is
-    /// additive for every `AbstractDp` instance (the trait's stated
-    /// axiom).
+    /// Adds exactly, which coincides with [`AbstractDp::compose`] because
+    /// composition is additive for every `AbstractDp` instance (the
+    /// trait's stated axiom).
     fn compose<D: AbstractDp>(total: &Self, charge: &Self) -> Self;
 
     /// `n`-fold composition of one charge — the vectorized batch total.
     ///
-    /// Must equal folding [`compose`](Self::compose) `n` times from zero:
-    /// exactly for exact carriers, to within float rounding for `f64`.
+    /// Must equal folding [`compose`](Self::compose) `n` times from zero,
+    /// exactly.
     fn compose_n<D: AbstractDp>(charge: &Self, n: u64) -> Self;
 
     /// Converts an `f64` charge, rounding **up** (conservative for
@@ -88,22 +82,18 @@ pub trait Budget:
     /// `max(self − other, 0)`: the remaining-budget subtraction.
     fn saturating_sub(&self, other: &Self) -> Self;
 
-    /// Whether `total` overruns `budget`. The `f64` carrier keeps the
-    /// historical `1e-12` acceptance tolerance; exact carriers compare
-    /// strictly.
+    /// Whether `total` overruns `budget`, compared strictly.
     fn exceeds(total: &Self, budget: &Self) -> bool;
 
-    /// Whether the value is a usable budget quantity (finite and
-    /// non-negative). Batch totals that overflow the carrier (`f64`
-    /// infinity) report `false` and are refused rather than recorded.
+    /// Whether the value is a usable budget quantity (non-negative): the
+    /// check on caller inputs and on values decoded from the journal.
     fn is_valid(&self) -> bool;
 
     /// Lossless wire encoding for the charge journal.
     ///
     /// The encoding must be **canonical**: equal values produce equal
     /// bytes, and [`from_bytes`](Self::from_bytes) of the output returns
-    /// exactly the input. For `f64` this is the IEEE bit pattern
-    /// (little-endian); for [`Dyadic`] it is the normalized
+    /// exactly the input: for [`Dyadic`] it is the normalized
     /// sign/exponent/mantissa form. Replay therefore reconstructs spend
     /// bit-for-bit — no re-rounding on recovery.
     fn to_bytes(&self) -> Vec<u8>;
@@ -115,63 +105,6 @@ pub trait Budget:
     /// treated by recovery according to the torn-tail rule, never silently
     /// skipped mid-log.
     fn from_bytes(bytes: &[u8]) -> Option<Self>;
-}
-
-impl Budget for f64 {
-    const NAME: &'static str = "f64";
-
-    fn zero() -> Self {
-        0.0
-    }
-
-    fn add(&self, other: &Self) -> Self {
-        self + other
-    }
-
-    fn scale(&self, n: u64) -> Self {
-        self * n as f64
-    }
-
-    fn compose<D: AbstractDp>(total: &Self, charge: &Self) -> Self {
-        D::compose(*total, *charge)
-    }
-
-    fn compose_n<D: AbstractDp>(charge: &Self, n: u64) -> Self {
-        D::compose_n(*charge, n)
-    }
-
-    fn charge_from_f64(gamma: f64) -> Self {
-        gamma
-    }
-
-    fn budget_from_f64(budget: f64) -> Self {
-        budget
-    }
-
-    fn to_f64(&self) -> f64 {
-        *self
-    }
-
-    fn saturating_sub(&self, other: &Self) -> Self {
-        (self - other).max(0.0)
-    }
-
-    fn exceeds(total: &Self, budget: &Self) -> bool {
-        *total > budget + 1e-12
-    }
-
-    fn is_valid(&self) -> bool {
-        self.is_finite() && *self >= 0.0
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        self.to_bits().to_le_bytes().to_vec()
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let bits: [u8; 8] = bytes.try_into().ok()?;
-        Some(f64::from_bits(u64::from_le_bytes(bits)))
-    }
 }
 
 impl Budget for Dyadic {
@@ -250,20 +183,7 @@ impl Budget for Dyadic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abstract_dp::{PureDp, Zcdp};
-
-    #[test]
-    fn f64_carrier_matches_notion_arithmetic() {
-        assert_eq!(
-            <f64 as Budget>::compose::<Zcdp>(&0.1, &0.2),
-            Zcdp::compose(0.1, 0.2)
-        );
-        assert_eq!(<f64 as Budget>::compose_n::<PureDp>(&0.25, 8), 2.0);
-        assert!(<f64 as Budget>::exceeds(&1.1, &1.0));
-        assert!(!<f64 as Budget>::exceeds(&(1.0 + 1e-13), &1.0));
-        assert!(!f64::INFINITY.is_valid());
-        assert!(!(-0.5f64).is_valid());
-    }
+    use crate::abstract_dp::PureDp;
 
     #[test]
     fn dyadic_carrier_is_exact_and_strict() {
@@ -285,12 +205,6 @@ mod tests {
 
     #[test]
     fn wire_encodings_roundtrip_exactly() {
-        for x in [0.0f64, 0.1, 1.0 / 3.0, 1e-300, f64::MAX] {
-            let bytes = Budget::to_bytes(&x);
-            assert_eq!(bytes.len(), 8);
-            assert_eq!(<f64 as Budget>::from_bytes(&bytes), Some(x));
-        }
-        assert_eq!(<f64 as Budget>::from_bytes(&[0u8; 7]), None);
         for x in [0.0f64, 0.1, 2.75, 1e-9] {
             let d = Dyadic::charge_from_f64(x);
             let back = <Dyadic as Budget>::from_bytes(&Budget::to_bytes(&d));

@@ -104,12 +104,13 @@
 //!                    log (first resets state, the rest extend it)
 //! ```
 //!
-//! Charges are lossless ([`Budget::to_bytes`] round-trips bit-for-bit on
-//! both carriers), so replay on the [`Dyadic`](sampcert_arith::Dyadic)
-//! carrier reconstructs spend **exactly** — recovery is provable equality,
-//! not approximation. The header pins the carrier name; replaying a
-//! journal under a different carrier is refused
-//! ([`RecoveryError::CarrierMismatch`]) rather than silently re-rounded.
+//! Charges are lossless ([`Budget::to_bytes`] round-trips bit-for-bit),
+//! so replay on the [`Dyadic`](sampcert_arith::Dyadic) carrier
+//! reconstructs spend **exactly** — recovery is provable equality, not
+//! approximation. The header pins the carrier name (`"dyadic"`); a
+//! journal that names another carrier — such as `"f64"`, which older
+//! builds could write — is refused ([`RecoveryError::CarrierMismatch`])
+//! rather than silently re-rounded.
 //!
 //! # The torn-tail rule
 //!
@@ -135,8 +136,8 @@
 //!   ([`RecoveryError::Corrupt`]). A write torn by a crash leaves a
 //!   *prefix* of a frame, never a full frame with a wrong checksum —
 //!   that is bit rot, and a rotted payload cannot be trusted to name
-//!   the right principal or amount (on the `f64` carrier nearly any
-//!   byte pattern decodes), so it is surfaced, not repaired silently.
+//!   the right principal or amount, so it is surfaced, not repaired
+//!   silently.
 //!
 //! Either accepted outcome is reported in [`RecoveryReport::torn_tail`].
 //!
@@ -190,6 +191,7 @@ use crate::abstract_dp::AbstractDp;
 use crate::accountant::BudgetExceeded;
 use crate::budget::Budget;
 use crate::registry::{BudgetRegistry, RegistryView};
+use sampcert_arith::Dyadic;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Seek, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -335,7 +337,7 @@ impl std::error::Error for RecoveryError {
 /// no, or the journal could not durably record the spend — in which case
 /// the charge is rejected **without** being applied (degrade-to-reject).
 #[derive(Debug, Clone, PartialEq)]
-pub enum DurableChargeError<B = f64> {
+pub enum DurableChargeError<B = Dyadic> {
     /// The admission check refused the charge.
     Budget(BudgetExceeded<B>),
     /// The write-ahead append or fsync failed; the charge was not applied
@@ -2073,14 +2075,10 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
             gamma_each.is_finite() && gamma_each >= 0.0,
             "invalid charge"
         );
-        let total = B::compose_n::<D>(&B::charge_from_f64(gamma_each), count);
-        if !total.is_valid() {
-            let remaining = self.core.registry.remaining_exact(principal);
-            return Err(DurableChargeError::Budget(
-                BudgetExceeded::new(total, remaining).for_principal(principal),
-            ));
-        }
-        self.charge_exact(principal, total)
+        self.charge_exact(
+            principal,
+            B::compose_n::<D>(&B::charge_from_f64(gamma_each), count),
+        )
     }
 
     /// Durably records a charge already in the carrier.
@@ -2156,11 +2154,15 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> DurableRegistry<D, B, S> {
 mod tests {
     use super::*;
     use crate::abstract_dp::PureDp;
-    use sampcert_arith::Dyadic;
     use std::time::{Duration, Instant};
 
     type Exact = DurableRegistry<PureDp, Dyadic, MemStorage>;
-    type Float = DurableRegistry<PureDp, f64, MemStorage>;
+
+    /// Bytes one `(principal, spent)` entry of a checkpoint or snapshot
+    /// record takes when `spent` is `0.5`: id, length prefix, encoding.
+    fn half_entry_len() -> u64 {
+        (8 + 4 + Budget::to_bytes(&Dyadic::from_f64_ceil(0.5)).len()) as u64
+    }
 
     /// A fresh registry with the default options over empty `storage`.
     fn create(per_principal: f64, shards: usize, storage: MemStorage) -> Exact {
@@ -2396,14 +2398,12 @@ mod tests {
 
     #[test]
     fn oversized_checkpoint_is_skipped_never_written() {
-        // ~53k f64 entries push the checkpoint payload past MAX_PAYLOAD
-        // (1 + 4 + n * 20 bytes). The snapshot must be skipped, not
+        // Enough entries push the checkpoint payload past MAX_PAYLOAD
+        // (1 + 4 + n * entry bytes). The snapshot must be skipped, not
         // written: an oversized frame would refuse recovery outright.
         let storage = MemStorage::new();
-        let reg = Float::create_with_budget(1.0, 8, storage.clone())
-            .unwrap()
-            .with_checkpoint_every(u64::MAX);
-        let n = (MAX_PAYLOAD as u64 / 20) + 2;
+        let reg = create(1.0, 8, storage.clone()).with_checkpoint_every(u64::MAX);
+        let n = (MAX_PAYLOAD as u64 / half_entry_len()) + 2;
         for p in 0..n {
             reg.charge(p, 0.5).unwrap();
         }
@@ -2414,12 +2414,11 @@ mod tests {
         assert!(reg.journal_error().is_none());
         reg.charge(0, 0.25).unwrap();
         drop(reg);
-        let (back, report) =
-            Float::open_with_options(1.0, 8, storage.reopen(), DurableOptions::default()).unwrap();
+        let (back, report) = reopen(1.0, 8, storage.reopen()).unwrap();
         assert!(!report.torn_tail, "skipped checkpoint damaged the log");
         assert_eq!(report.records as u64, 1 + n + 1);
-        assert_eq!(back.spent_exact(0), 0.75);
-        assert_eq!(back.spent_exact(n - 1), 0.5);
+        assert_eq!(back.spent_exact(0), Dyadic::from_f64_ceil(0.75));
+        assert_eq!(back.spent_exact(n - 1), Dyadic::from_f64_ceil(0.5));
     }
 
     #[test]
@@ -2439,18 +2438,33 @@ mod tests {
 
     #[test]
     fn carrier_mismatch_is_refused() {
-        let storage = MemStorage::new();
-        let reg = Float::create_with_budget(1.0, 2, storage.clone()).unwrap();
-        reg.charge(1, 0.25).unwrap();
-        drop(reg);
-        let err = reopen(1.0, 2, storage.reopen()).unwrap_err();
+        // A version-1 log as the retired `f64` carrier wrote it: a header
+        // naming "f64", then one charge of 0.25 as IEEE bits.
+        let mut header = vec![KIND_HEADER];
+        header.extend_from_slice(MAGIC);
+        header.extend_from_slice(&1u16.to_le_bytes());
+        header.push(3);
+        header.extend_from_slice(b"f64");
+        let mut charge = vec![KIND_CHARGE];
+        charge.extend_from_slice(&1u64.to_le_bytes());
+        charge.extend_from_slice(&0.25f64.to_bits().to_le_bytes());
+        let mut storage = MemStorage::new();
+        storage.append(&frame(&header)).unwrap();
+        storage.append(&frame(&charge)).unwrap();
+
+        let expected = RecoveryError::CarrierMismatch {
+            expected: "dyadic",
+            found: "f64".into(),
+        };
         assert_eq!(
-            err,
-            RecoveryError::CarrierMismatch {
-                expected: "dyadic",
-                found: "f64".into()
-            }
+            replay::<PureDp, Dyadic>(&storage.contents()).unwrap_err(),
+            expected
         );
+        assert_eq!(reopen(1.0, 2, storage.reopen()).unwrap_err(), expected);
+        let session = crate::Session::<PureDp>::builder()
+            .registry(1.0)
+            .durable_with_options(storage.reopen(), DurableOptions::default());
+        assert_eq!(session.err(), Some(expected));
     }
 
     #[test]
@@ -2767,28 +2781,26 @@ mod tests {
 
     #[test]
     fn compaction_chunks_snapshots_past_the_record_cap() {
-        // Enough f64 principals that one snapshot record cannot hold
-        // them: the compacted log must carry several SNAPSHOT chunks and
-        // still replay exactly.
+        // Enough principals that one snapshot record cannot hold them:
+        // the compacted log must carry several SNAPSHOT chunks and still
+        // replay exactly.
         let storage = MemStorage::new();
-        let reg = Float::create_with_budget(1.0, 8, storage.clone())
-            .unwrap()
-            .with_checkpoint_every(u64::MAX);
-        let n = (MAX_PAYLOAD as u64 / 20) + 2;
+        let reg = create(1.0, 8, storage.clone()).with_checkpoint_every(u64::MAX);
+        let n = (MAX_PAYLOAD as u64 / half_entry_len()) + 2;
         for p in 0..n {
             reg.charge(p, 0.5).unwrap();
         }
         reg.compact_now().unwrap();
         drop(reg);
-        let recovery = replay::<PureDp, f64>(&storage.contents()).unwrap();
+        let half = Dyadic::from_f64_ceil(0.5);
+        let recovery = replay::<PureDp, Dyadic>(&storage.contents()).unwrap();
         // header + at least 2 snapshot chunks, nothing else.
         assert!(recovery.report.records >= 3, "{}", recovery.report.records);
         assert_eq!(recovery.spent.len(), n as usize);
-        assert!(recovery.spent.iter().all(|(_, s)| *s == 0.5));
-        let (back, _) =
-            Float::open_with_options(1.0, 8, storage.reopen(), DurableOptions::default()).unwrap();
-        assert_eq!(back.spent_exact(0), 0.5);
-        assert_eq!(back.spent_exact(n - 1), 0.5);
+        assert!(recovery.spent.iter().all(|(_, s)| *s == half));
+        let (back, _) = reopen(1.0, 8, storage.reopen()).unwrap();
+        assert_eq!(back.spent_exact(0), half);
+        assert_eq!(back.spent_exact(n - 1), half);
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod registry;
 mod session;
 
 pub use abstract_dp::{AbstractDp, PureDp, RenyiDp, Zcdp};
-pub use accountant::{BudgetExceeded, ExactLedger, ExactRdpAccountant, Ledger, RdpAccountant};
+pub use accountant::{BudgetExceeded, Ledger, RdpAccountant};
 pub use approx::{ApproxBudget, ApproxPrivate};
 pub use budget::Budget;
 pub use convert::{approx_dp_of, pure_to_renyi, pure_to_zcdp, zcdp_to_renyi};
@@ -64,11 +64,11 @@ pub use neighbour::{insertions, is_neighbour, neighbours, removals};
 pub use noise::DpNoise;
 pub use private::{CheckOptions, PrivacyViolation, Private};
 pub use query::{bounded_sum_query, count_query, Query, SensitivityViolation};
-pub use registry::{BudgetRegistry, ExactBudgetRegistry, RegistryView};
+pub use registry::{BudgetRegistry, RegistryView};
 pub use session::{
     lane_partition, Accountant, AdmissionPolicy, AdmissionShed, Entropy, Executor, ExecutorFailure,
     IngressGauge, Inline, NoAccountant, NoExecutor, Planned, PrincipalAccountant, QueueFull,
     RdpCurve, RdpMeter, Request, Session, SessionBuilder, SessionError,
 };
-// Re-exported so exact-ledger users don't need a direct arith dependency.
+// Re-exported so budget users don't need a direct arith dependency.
 pub use sampcert_arith::Dyadic;

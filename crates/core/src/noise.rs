@@ -41,6 +41,19 @@ fn scale_numerator<T>(query: &Query<T>, gamma_den: u64) -> Nat {
     Nat::from(query.sensitivity()).mul_u64(gamma_den)
 }
 
+/// The release `value + noise`, saturating at the ends of `i64`. A draw
+/// at `i64::MIN` or `i64::MAX` is noise the samplers saturated (its true
+/// magnitude may be larger), so the release takes that end whatever the
+/// query value: `saturating_add` alone would land it at
+/// `value ± (2⁶³ − 1)`, a point whose position reveals the value.
+fn release(value: i64, noise: i64) -> i64 {
+    if noise == i64::MIN || noise == i64::MAX {
+        noise
+    } else {
+        value.saturating_add(noise)
+    }
+}
+
 /// Builds the executable + analytic mechanism for Laplace noise with scale
 /// `scale_num/scale_den` around the query value.
 fn laplace_noise_mechanism<T: 'static>(
@@ -55,7 +68,7 @@ fn laplace_noise_mechanism<T: 'static>(
     let q1 = query.clone();
     let q2 = query.clone();
     Mechanism::from_parts(
-        move |db, src| q1.eval(db) + sampler.run(src),
+        move |db, src| release(q1.eval(db), sampler.run(src)),
         move |db| laplace_mass(scale, q2.eval(db), radius),
     )
 }
@@ -90,7 +103,7 @@ fn gaussian_noise_mechanism<T: 'static>(
     let q1 = query.clone();
     let q2 = query.clone();
     Mechanism::from_parts(
-        move |db, src| q1.eval(db) + sampler.run(src),
+        move |db, src| release(q1.eval(db), sampler.run(src)),
         move |db| gaussian_mass(sigma2, q2.eval(db), radius),
     )
 }
@@ -211,6 +224,17 @@ mod tests {
     fn zero_gamma_rejected() {
         let q = count_query::<u8>();
         let _ = PureDp::noise(&q, 0, 1);
+    }
+
+    #[test]
+    fn release_saturates_with_saturated_noise() {
+        assert_eq!(release(5, -7), -2);
+        assert_eq!(release(i64::MAX - 1, 5), i64::MAX);
+        assert_eq!(release(i64::MIN + 1, -5), i64::MIN);
+        for value in [-3, 0, 3] {
+            assert_eq!(release(value, i64::MAX), i64::MAX);
+            assert_eq!(release(value, i64::MIN), i64::MIN);
+        }
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! enforcing the same no-overspend machinery as the global ledgers —
 //! charges round **up** crossing the carrier boundary
 //! ([`Budget::charge_from_f64`]), budgets round **down**
-//! ([`Budget::budget_from_f64`]), acceptance is strict on exact carriers
-//! and keeps the historical `1e-12` tolerance on `f64`, and refused
+//! ([`Budget::budget_from_f64`]), acceptance is strict, and refused
 //! charges leave the ledger untouched.
 //!
 //! # Sharding
@@ -43,24 +42,22 @@
 //! reg.charge(9, 0.5).unwrap(); // independent allowance
 //! let err = reg.charge(7, 0.5).unwrap_err();
 //! assert_eq!(err.principal, Some(7));
-//! assert!((reg.remaining(7) - 0.25).abs() < 1e-12);
+//! assert_eq!(reg.remaining(7), 0.25);
 //! ```
 
 use crate::abstract_dp::AbstractDp;
 use crate::accountant::BudgetExceeded;
 use crate::budget::Budget;
+use sampcert_arith::Dyadic;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
-
-/// A [`BudgetRegistry`] metering exactly on the dyadic lattice.
-pub type ExactBudgetRegistry<D> = BudgetRegistry<D, sampcert_arith::Dyadic>;
 
 /// A sharded concurrent map of per-principal privacy ledgers.
 ///
 /// Cheap to clone and share across threads (the shard table is behind an
 /// `Arc`); see the module-level docs above for the enforcement contract.
-pub struct BudgetRegistry<D: AbstractDp, B: Budget = f64> {
+pub struct BudgetRegistry<D: AbstractDp, B: Budget = Dyadic> {
     shards: Arc<Vec<Mutex<HashMap<u64, B>>>>,
     per_principal: B,
     _notion: PhantomData<D>,
@@ -176,12 +173,10 @@ impl<D: AbstractDp, B: Budget> BudgetRegistry<D, B> {
             gamma_each.is_finite() && gamma_each >= 0.0,
             "invalid charge"
         );
-        let total = B::compose_n::<D>(&B::charge_from_f64(gamma_each), count);
-        if !total.is_valid() {
-            let remaining = self.remaining_exact(principal);
-            return Err(BudgetExceeded::new(total, remaining).for_principal(principal));
-        }
-        self.charge_exact(principal, total)
+        self.charge_exact(
+            principal,
+            B::compose_n::<D>(&B::charge_from_f64(gamma_each), count),
+        )
     }
 
     /// Records a release whose cost is already in the carrier (no
@@ -312,8 +307,8 @@ impl<D: AbstractDp, B: Budget> BudgetRegistry<D, B> {
         self.remaining_exact(principal).to_f64()
     }
 
-    /// Sum of all principals' spend (composed additively) — exact on exact
-    /// carriers. Takes each shard lock once.
+    /// Sum of all principals' spend (composed additively), exact. Takes
+    /// each shard lock once.
     pub fn total_spent_exact(&self) -> B {
         let mut total = B::zero();
         for shard in self.shards.iter() {
@@ -406,7 +401,7 @@ impl<'a, D: AbstractDp, B: Budget> RegistryView<'a, D, B> {
         self.inner.remaining(principal)
     }
 
-    /// Sum of all principals' spend — exact on exact carriers.
+    /// Sum of all principals' spend, exact.
     pub fn total_spent_exact(&self) -> B {
         self.inner.total_spent_exact()
     }
@@ -422,13 +417,11 @@ impl<'a, D: AbstractDp, B: Budget> RegistryView<'a, D, B> {
 mod tests {
     use super::*;
     use crate::abstract_dp::PureDp;
-    use sampcert_arith::Dyadic;
 
     #[test]
     fn registries_are_send_and_cheap_to_clone() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<BudgetRegistry<PureDp, f64>>();
-        assert_send_sync::<ExactBudgetRegistry<PureDp>>();
+        assert_send_sync::<BudgetRegistry<PureDp>>();
         let reg: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 4);
         reg.charge(1, 0.5).unwrap();
         let view = reg;
@@ -437,7 +430,7 @@ mod tests {
 
     #[test]
     fn principals_are_metered_independently() {
-        let reg: ExactBudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 4);
+        let reg: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 4);
         for p in 0..100u64 {
             reg.charge(p, 0.75).unwrap();
         }
@@ -454,7 +447,7 @@ mod tests {
 
     #[test]
     fn refusal_leaves_ledger_unchanged_and_names_principal() {
-        let reg: ExactBudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 2);
+        let reg: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 2);
         reg.charge(42, 0.75).unwrap();
         let err = reg.charge(42, 0.5).unwrap_err();
         assert_eq!(err.principal, Some(42));
@@ -464,30 +457,29 @@ mod tests {
 
     #[test]
     fn charge_batch_is_atomic_per_principal() {
-        let reg: ExactBudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 2);
+        let reg: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 2);
         reg.charge_batch(5, 0.125, 4).unwrap();
         assert_eq!(reg.spent_exact(5), Dyadic::from_f64_ceil(0.5));
         let err = reg.charge_batch(5, 0.125, 8).unwrap_err();
         assert_eq!(err.principal, Some(5));
         assert_eq!(reg.spent_exact(5), Dyadic::from_f64_ceil(0.5));
-        // Overflowing batch totals (f64 carrier) are refused, not
-        // panicked; the exact carrier has no overflow to guard.
-        let f64_reg: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 2);
-        let err = f64_reg.charge_batch(6, 1e308, 10).unwrap_err();
-        assert!(err.requested.is_infinite());
-        assert_eq!(f64_reg.spent(6), 0.0);
+        // A batch total far past any budget is refused with the exact
+        // requested amount, not panicked: the carrier cannot overflow.
+        let err = reg.charge_batch(6, 1e308, 10).unwrap_err();
+        assert_eq!(err.requested, Dyadic::from_f64_ceil(1e308).mul_u64(10));
+        assert_eq!(reg.spent_exact(6), Dyadic::zero());
     }
 
     #[test]
     fn check_then_apply_equals_charge() {
-        let reg: ExactBudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 2);
+        let reg: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 2);
         let g = Dyadic::from_f64_ceil(0.25);
         for _ in 0..4 {
             reg.check_exact(9, &g).unwrap();
             reg.apply_unchecked(9, &g);
         }
         assert!(reg.check_exact(9, &g).is_err());
-        let reference: ExactBudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 2);
+        let reference: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 2);
         for _ in 0..4 {
             reference.charge_exact(9, g.clone()).unwrap();
         }
@@ -496,7 +488,7 @@ mod tests {
 
     #[test]
     fn apply_unchecked_may_exceed_and_then_refuses() {
-        let reg: ExactBudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 2);
+        let reg: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 2);
         // Replayed spend past the allowance is recorded faithfully…
         reg.apply_unchecked(3, &Dyadic::from(2u64));
         assert_eq!(reg.spent_exact(3), Dyadic::from(2u64));
@@ -509,7 +501,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_exact() {
-        let reg: ExactBudgetRegistry<PureDp> = BudgetRegistry::new(10.0, 4);
+        let reg: BudgetRegistry<PureDp> = BudgetRegistry::new(10.0, 4);
         for p in [9u64, 2, 7, 4] {
             reg.charge(p, 0.5 + p as f64 * 0.125).unwrap();
         }
@@ -525,7 +517,7 @@ mod tests {
     fn concurrent_charges_never_overspend_any_principal() {
         // 8 threads hammer 16 principals; each principal's final spend
         // must respect their budget exactly (dyadic carrier).
-        let reg: ExactBudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 4);
+        let reg: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 4);
         std::thread::scope(|s| {
             for t in 0..8 {
                 let reg = reg.clone();

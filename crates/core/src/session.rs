@@ -1,14 +1,13 @@
-//! The front door: one typestate [`Session`] over every carrier ×
-//! accountant × executor × entropy combination.
+//! The front door: one typestate [`Session`] over every accountant ×
+//! executor × entropy combination.
 //!
-//! The serving surface varies along three independent axes — batching
-//! ([`Session::answer_many`]), exact carriers
-//! (`charge_exact`/[`ExactLedger`](crate::ExactLedger)) and concurrency
-//! (a pooled executor's draw lanes). A [`Session`] closes the
-//! configuration space behind a single builder:
+//! The serving surface varies along independent axes — batching
+//! ([`Session::answer_many`]), the accountant and concurrency (a pooled
+//! executor's draw lanes). A [`Session`] closes the configuration space
+//! behind a single builder. Every session meters exactly in the
+//! [`Dyadic`](sampcert_arith::Dyadic) budget carrier; the builder
+//! chooses:
 //!
-//! - the budget **carrier** (`f64` by default, or exact
-//!   [`Dyadic`](sampcert_arith::Dyadic) after [`SessionBuilder::exact`]);
 //! - the **accountant** (pure-notion [`Ledger`], Rényi [`RdpMeter`], or
 //!   a per-principal registry) — [`SessionBuilder::ledger`],
 //!   [`SessionBuilder::rdp`], [`SessionBuilder::registry`];
@@ -64,7 +63,6 @@
 //! use sampcert_core::{PureDp, Request, Session};
 //!
 //! let mut s = Session::<PureDp>::builder()
-//!     .exact()
 //!     .registry(1.0)
 //!     .inline()
 //!     .seeded(5)
@@ -113,7 +111,7 @@
 //! ```
 //! use sampcert_core::{count_query, Entropy, Private, PureDp, Request, Session};
 //!
-//! // Carrier f64, global ledger, inline executor, replayable entropy.
+//! // Global ledger, inline executor, replayable entropy.
 //! let mut session = Session::<PureDp>::builder()
 //!     .ledger(1.0)
 //!     .inline()
@@ -128,7 +126,7 @@
 //! // Four answers, one batched charge of 4 × ε/4 — the whole budget.
 //! let answers = session.answer_many(&req, &db, 4).unwrap();
 //! assert_eq!(answers.len(), 4);
-//! assert!((session.accountant().spent() - 1.0).abs() < 1e-12);
+//! assert_eq!(session.accountant().spent(), 1.0);
 //!
 //! // A fifth release of the same mechanism no longer fits ε = 1.
 //! assert!(session.answer(&req, &db).is_err());
@@ -146,6 +144,7 @@ use crate::noise::DpNoise;
 use crate::private::Private;
 use crate::query::Query;
 use crate::registry::BudgetRegistry;
+use sampcert_arith::Dyadic;
 use sampcert_slang::{ByteSource, OsByteSource, SplitSeed, Value};
 use std::future::Future;
 use std::marker::PhantomData;
@@ -294,7 +293,7 @@ impl std::error::Error for QueueFull {}
 /// [`ExecutorFailure`], [`JournalError`], [`AdmissionShed`] or
 /// [`QueueFull`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum SessionError<B: Budget = f64> {
+pub enum SessionError<B: Budget = Dyadic> {
     /// The accountant refused the charge, or the batch's unit count
     /// (answers × units per answer) does not fit a `u64`; nothing was
     /// spent, released, or drawn.
@@ -560,7 +559,7 @@ impl Executor for Inline {
 /// each (a histogram answer is `nBins` per-bin releases; most requests
 /// are a single release). Charging per unit — converting `gamma_unit`
 /// into the budget carrier **before** the `units`-fold composition —
-/// keeps the exact-carrier charge identical to what the legacy per-path
+/// keeps the charge identical to what the legacy per-path
 /// metering recorded, rounding and all.
 ///
 /// Constructors: [`Request::noise`] (raw calibrated noise),
@@ -612,7 +611,7 @@ impl<D: AbstractDp, T: 'static, U: Value> Request<D, T, U> {
 
     /// A request whose every answer is priced as `units` sub-releases of
     /// `gamma_unit` (see the type-level docs for why the factorization
-    /// matters on exact carriers).
+    /// matters to the exact carrier).
     ///
     /// # Panics
     ///
@@ -727,12 +726,11 @@ impl RdpCurve for Zcdp {
 /// [`RdpAccountant::epsilon`] stays within the stated ε budget at the
 /// stated δ.
 ///
-/// The budget check runs in reported-ε space (`f64`); the carrier `B`
-/// governs how the per-order totals *accumulate* (exactly, for
-/// [`Dyadic`](sampcert_arith::Dyadic)), with each per-release increment
-/// rounded up as everywhere else in the accounting layer.
+/// The budget check runs in reported-ε space (`f64`); the per-order
+/// totals *accumulate* exactly in the carrier `B`, with each per-release
+/// increment rounded up as everywhere else in the accounting layer.
 #[derive(Debug, Clone)]
-pub struct RdpMeter<B: Budget = f64> {
+pub struct RdpMeter<B: Budget = Dyadic> {
     acct: RdpAccountant<B>,
     delta: f64,
     budget_eps: f64,
@@ -1020,7 +1018,7 @@ impl<D: AbstractDp, B: Budget> PrincipalAccountant<D, B> for BudgetRegistry<D, B
 
     fn can_admit_for(&self, principal: u64, gamma_unit: f64, units: u64) -> bool {
         let total = B::compose_n::<D>(&B::charge_from_f64(gamma_unit), units);
-        total.is_valid() && self.check_exact(principal, &total).is_ok()
+        self.check_exact(principal, &total).is_ok()
     }
 }
 
@@ -1051,9 +1049,7 @@ impl<D: AbstractDp, B: Budget, S: JournalStorage> PrincipalAccountant<D, B>
 // Builder typestate
 // ---------------------------------------------------------------------------
 
-/// Builder state: no accountant chosen yet. The carrier can still be
-/// changed in this state ([`SessionBuilder::exact`]); once an accountant
-/// is chosen it is fixed inside the accountant's type.
+/// Builder state: no accountant chosen yet.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoAccountant;
 
@@ -1082,12 +1078,12 @@ const LOCK_SHARDS: usize = 8;
 /// The typestate builder behind [`Session::builder`]; see the
 /// module-level docs above for the axes and an example.
 ///
-/// Type parameters track the choices made so far: `B` the budget carrier,
-/// `A` the accountant (or [`NoAccountant`]), `X` the executor choice
-/// (or [`NoExecutor`]). [`build`](Self::build) only exists once an
-/// accountant and an executor are chosen.
+/// Type parameters track the choices made so far: `B` the budget carrier
+/// (always [`Dyadic`]), `A` the accountant (or [`NoAccountant`]), `X` the
+/// executor choice (or [`NoExecutor`]). [`build`](Self::build) only
+/// exists once an accountant and an executor are chosen.
 #[derive(Debug)]
-pub struct SessionBuilder<D: AbstractDp, B: Budget = f64, A = NoAccountant, X = NoExecutor> {
+pub struct SessionBuilder<D: AbstractDp, B: Budget = Dyadic, A = NoAccountant, X = NoExecutor> {
     accountant: A,
     executor: X,
     entropy: Entropy,
@@ -1129,12 +1125,9 @@ impl<D: AbstractDp, B: Budget, A, X> SessionBuilder<D, B, A, X> {
         self
     }
 
-    /// The same builder with the carrier, accountant and executor states
-    /// mapped by `f`; every other choice carries over.
-    fn map<B2: Budget, A2, X2>(
-        self,
-        f: impl FnOnce(A, X) -> (A2, X2),
-    ) -> SessionBuilder<D, B2, A2, X2> {
+    /// The same builder with the accountant and executor states mapped by
+    /// `f`; every other choice carries over.
+    fn map<A2, X2>(self, f: impl FnOnce(A, X) -> (A2, X2)) -> SessionBuilder<D, B, A2, X2> {
         let (accountant, executor) = f(self.accountant, self.executor);
         SessionBuilder {
             accountant,
@@ -1149,12 +1142,10 @@ impl<D: AbstractDp, B: Budget, A, X> SessionBuilder<D, B, A, X> {
 }
 
 impl<D: AbstractDp, B: Budget, X> SessionBuilder<D, B, NoAccountant, X> {
-    /// Switches the budget carrier to the exact dyadic lattice
-    /// ([`Dyadic`](sampcert_arith::Dyadic)): gcd-free exact accounting,
-    /// strict acceptance. Must precede the accountant choice (the carrier
-    /// lives inside the accountant's type).
-    pub fn exact(self) -> SessionBuilder<D, sampcert_arith::Dyadic, NoAccountant, X> {
-        self.map(|_, x| (NoAccountant, x))
+    /// The identity: every session already meters exactly on the
+    /// [`Dyadic`] lattice. Kept so existing builder chains still compile.
+    pub fn exact(self) -> Self {
+        self
     }
 
     /// A global [`Ledger`] with the given budget (converted into the
@@ -1330,7 +1321,7 @@ impl<D: AbstractDp, B: Budget, A, E: Executor> SessionBuilder<D, B, A, Planned<E
 /// [`Session::builder`]; see the module-level docs above for the full
 /// tour.
 #[derive(Debug)]
-pub struct Session<D: AbstractDp, B: Budget = f64, A = NoAccountant, E = NoExecutor> {
+pub struct Session<D: AbstractDp, B: Budget = Dyadic, A = NoAccountant, E = NoExecutor> {
     accountant: A,
     executor: E,
     admission: AdmissionPolicy,
@@ -1340,8 +1331,9 @@ pub struct Session<D: AbstractDp, B: Budget = f64, A = NoAccountant, E = NoExecu
 }
 
 impl<D: AbstractDp> Session<D> {
-    /// Starts a builder with the default axes: `f64` carrier, OS entropy,
-    /// open admission, no accountant or executor chosen yet.
+    /// Starts a builder with the default axes: the exact [`Dyadic`]
+    /// carrier, OS entropy, open admission, no accountant or executor
+    /// chosen yet.
     pub fn builder() -> SessionBuilder<D> {
         SessionBuilder {
             accountant: NoAccountant,
@@ -1635,7 +1627,6 @@ mod tests {
     use super::*;
     use crate::journal::{FaultPlan, MemStorage};
     use crate::query::count_query;
-    use sampcert_arith::Dyadic;
     use sampcert_slang::SeededByteSource;
 
     fn count_req(num: u64, den: u64) -> Request<PureDp, u8, i64> {
@@ -1674,7 +1665,7 @@ mod tests {
             admission: AdmissionPolicy::open(),
             ingress: IngressGauge::new(),
             _notion: PhantomData::<PureDp>,
-            _carrier: PhantomData::<f64>,
+            _carrier: PhantomData::<Dyadic>,
         };
         let req = count_req(1, 1);
         assert!(s.answer(&req, &[1u8]).is_err());
@@ -1697,7 +1688,6 @@ mod tests {
     #[test]
     fn exact_carrier_session_is_strict() {
         let mut s = Session::<PureDp>::builder()
-            .exact()
             .ledger(1.0)
             .inline()
             .seeded(9)
@@ -1747,10 +1737,13 @@ mod tests {
     #[test]
     fn session_error_chains_sources() {
         use std::error::Error as _;
-        let budget: SessionError = SessionError::Budget(BudgetExceeded::new(0.5, 0.25));
+        let budget: SessionError = SessionError::Budget(BudgetExceeded::new(
+            Dyadic::from_f64_ceil(0.5),
+            Dyadic::from_f64_ceil(0.25),
+        ));
         assert_eq!(
             budget.source().unwrap().to_string(),
-            "privacy budget exceeded: requested 0.5, remaining 0.25 [carrier: f64]"
+            "privacy budget exceeded: requested 0.5, remaining 0.25 [carrier: dyadic]"
         );
         let exec: SessionError = SessionError::Executor(ExecutorFailure::new("pool died"));
         assert_eq!(
@@ -1821,7 +1814,6 @@ mod tests {
     #[test]
     fn shed_refusal_spends_nothing() {
         let mut s = Session::<PureDp>::builder()
-            .exact()
             .ledger(1.0)
             .admission(AdmissionPolicy::open().shed_unservable())
             .inline()
@@ -1874,7 +1866,6 @@ mod tests {
     #[test]
     fn answer_for_async_sheds_per_principal() {
         let mut s = Session::<PureDp>::builder()
-            .exact()
             .registry(1.0)
             .admission(AdmissionPolicy::open().shed_unservable())
             .inline()
@@ -1919,7 +1910,6 @@ mod tests {
     #[test]
     fn registry_session_isolates_principals() {
         let mut s = Session::<PureDp>::builder()
-            .exact()
             .registry(1.0)
             .inline()
             .seeded(11)
@@ -1945,7 +1935,6 @@ mod tests {
         let handle = storage.clone();
         let req = count_req(1, 4); // ε = 1/4 per answer
         let mut s = Session::<PureDp>::builder()
-            .exact()
             .registry(1.0)
             .durable_with_options(storage, DurableOptions::default())
             .unwrap()
@@ -1977,7 +1966,6 @@ mod tests {
         // but its fsync failed — replay cannot tell whether it became
         // durable, so it counts as charged (over-reporting, never under).
         let mut s2 = Session::<PureDp>::builder()
-            .exact()
             .registry(1.0)
             .durable_with_options(handle.reopen(), DurableOptions::default())
             .unwrap()
@@ -2001,7 +1989,6 @@ mod tests {
         let handle = storage.clone();
         let req = count_req(1, 4); // ε = 1/4 per answer
         let mut s = Session::<PureDp>::builder()
-            .exact()
             .registry(2.0)
             .durable_with_options(
                 storage,
@@ -2034,7 +2021,6 @@ mod tests {
         // A plain (no-policy) restart over the compacted log
         // agrees with what was acknowledged.
         let s2 = Session::<PureDp>::builder()
-            .exact()
             .registry(2.0)
             .durable_with_options(handle.reopen(), DurableOptions::default())
             .unwrap()

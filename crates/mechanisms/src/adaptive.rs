@@ -157,7 +157,6 @@ mod tests {
         let mut replay = SplitSeed::new(41).stream(0);
         let seq: Vec<_> = (0..16).map(|_| m.run(&db, &mut replay)).collect();
         let mut session = Session::<PureDp>::builder()
-            .exact()
             .ledger(400.0)
             .inline()
             .seeded(41)

@@ -78,8 +78,24 @@ pub fn exact_bin_count<T: 'static>(bins: &Bins<T>, b: usize) -> Query<T> {
     })
 }
 
+/// The per-bin denominator `γ₂·nBins`.
+///
+/// # Panics
+///
+/// Panics if the product overflows `u64`; callers build their mechanism
+/// from it before anything is charged or drawn.
+fn per_bin_den(gamma_den: u64, n_bins: usize) -> u64 {
+    gamma_den
+        .checked_mul(n_bins as u64)
+        .unwrap_or_else(|| panic!("histogram: γ₂·nBins = {gamma_den}·{n_bins} overflows u64"))
+}
+
 /// `privNoisedBinCount` (Listing 4): bin `b`'s count noised at
 /// `noise_priv(γ₁, γ₂·nBins)` — the per-bin slice of the budget.
+///
+/// # Panics
+///
+/// Panics if `γ₂·nBins` overflows `u64`.
 pub fn noised_bin_count<D: DpNoise, T: 'static>(
     bins: &Bins<T>,
     gamma_num: u64,
@@ -89,7 +105,7 @@ pub fn noised_bin_count<D: DpNoise, T: 'static>(
     Private::noised_query(
         &exact_bin_count(bins, b),
         gamma_num,
-        gamma_den * bins.n_bins() as u64,
+        per_bin_den(gamma_den, bins.n_bins()),
     )
 }
 
@@ -102,7 +118,8 @@ pub fn noised_bin_count<D: DpNoise, T: 'static>(
 ///
 /// # Panics
 ///
-/// Panics if `gamma_num` or `gamma_den` is zero.
+/// Panics if `gamma_num` or `gamma_den` is zero, or if `γ₂·nBins`
+/// overflows `u64`.
 pub fn noised_histogram<D: DpNoise, T: 'static>(
     bins: &Bins<T>,
     gamma_num: u64,
@@ -157,15 +174,16 @@ pub fn par_noised_histogram<D: DpNoise, T: Clone + 'static>(
 /// [`noised_histogram`]`.run` releases from the same stream position
 /// (pinned by the tests below and `tests/session_api.rs`). The price is
 /// [`noised_histogram`]'s, `nBins · noise_priv(γ₁, γ₂·nBins)`, factored
-/// as `nBins` sub-releases of the per-bin cost so exact carriers round
-/// the per-bin cost before composing it. The analytic
+/// as `nBins` sub-releases of the per-bin cost so the exact carrier
+/// rounds the per-bin cost before composing it. The analytic
 /// distribution is [`noised_histogram`]'s, so
 /// [`check_pair`](sampcert_core::Private::check_pair)-style verification
 /// remains available through the underlying compositional mechanism.
 ///
 /// # Panics
 ///
-/// Panics if `gamma_num` or `gamma_den` is zero.
+/// Panics if `gamma_num` or `gamma_den` is zero, or if `γ₂·nBins`
+/// overflows `u64`.
 ///
 /// # Examples
 ///
@@ -191,10 +209,11 @@ pub fn histogram_request<D: DpNoise, T: 'static>(
     gamma_den: u64,
 ) -> Request<D, T, Vec<i64>> {
     let n = bins.n_bins();
+    let bin_den = per_bin_den(gamma_den, n);
     let noise = D::noise(
         &crate::queries::noise_only_query::<T>(1),
         gamma_num,
-        gamma_den * n as u64,
+        bin_den,
     );
     let bins2 = bins.clone();
     let compositional = noised_histogram::<D, T>(bins, gamma_num, gamma_den);
@@ -207,7 +226,7 @@ pub fn histogram_request<D: DpNoise, T: 'static>(
             // Bin n−1 is outermost in the composition, so its noise draws
             // first; matching that order keeps the byte streams identical.
             for b in (0..n).rev() {
-                counts[b] += noise.run(&[], src);
+                counts[b] = crate::queries::add_noise(counts[b], noise.run(&[], src));
             }
             counts
         },
@@ -215,7 +234,7 @@ pub fn histogram_request<D: DpNoise, T: 'static>(
     );
     Request::composite(
         mech,
-        D::noise_priv(gamma_num, gamma_den * n as u64),
+        D::noise_priv(gamma_num, bin_den),
         n as u64,
         format!("histogram[{n} bins]"),
     )
@@ -242,7 +261,7 @@ pub fn approx_max_bin<D: DpNoise, T: 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sampcert_core::{CheckOptions, Dyadic, ExactLedger, Ledger, PureDp, Session, Zcdp};
+    use sampcert_core::{CheckOptions, Dyadic, Ledger, PureDp, Session, Zcdp};
     use sampcert_slang::{CountingByteSource, SeededByteSource, SplitSeed};
 
     /// Two bins: evens and odds.
@@ -302,7 +321,6 @@ mod tests {
         let bins = Bins::new(3, |v: &i64| (*v % 3).unsigned_abs() as usize);
         let db: Vec<i64> = (0..20).collect();
         let mut session = Session::<PureDp>::builder()
-            .exact()
             .ledger(10.0)
             .inline()
             .seeded(33)
@@ -310,7 +328,7 @@ mod tests {
         session
             .answer(&histogram_request::<PureDp, i64>(&bins, 1, 3), &db)
             .unwrap();
-        let mut reference: ExactLedger<PureDp> = Ledger::new(10.0);
+        let mut reference: Ledger<PureDp> = Ledger::new(10.0);
         reference
             .charge_batch("hist", PureDp::noise_priv(1, 9), 3)
             .unwrap();
@@ -330,7 +348,6 @@ mod tests {
         // Exact carrier, budget 2.5: two ε = 1 histograms fit, a third is
         // refused, and an ε = ½ histogram then fits exactly.
         let mut session = Session::<PureDp>::builder()
-            .exact()
             .ledger(2.5)
             .inline()
             .seeded(21)
@@ -470,5 +487,22 @@ mod tests {
     #[should_panic(expected = "at least one bin")]
     fn zero_bins_rejected() {
         let _ = Bins::new(0, |_: &u8| 0);
+    }
+
+    /// γ₂·nBins = 2⁶³·3 does not fit a `u64`: construction refuses it by
+    /// name instead of wrapping the per-bin denominator (and with it both
+    /// the noise and the price).
+    #[test]
+    #[should_panic(expected = "γ₂·nBins = 9223372036854775808·3 overflows u64")]
+    fn noised_histogram_refuses_an_overflowing_denominator() {
+        let bins = Bins::new(3, |v: &u8| *v as usize);
+        let _ = noised_histogram::<PureDp, u8>(&bins, 1, 1 << 63);
+    }
+
+    #[test]
+    #[should_panic(expected = "γ₂·nBins = 9223372036854775808·3 overflows u64")]
+    fn histogram_request_refuses_an_overflowing_denominator() {
+        let bins = Bins::new(3, |v: &u8| *v as usize);
+        let _ = histogram_request::<PureDp, u8>(&bins, 1, 1 << 63);
     }
 }

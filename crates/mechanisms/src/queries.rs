@@ -20,6 +20,20 @@ pub(crate) fn noise_only_query<T: 'static>(sensitivity: u64) -> Query<T> {
     Query::new(format!("noise[Δ={sensitivity}]"), sensitivity, |_| 0)
 }
 
+/// `value` plus a draw of a [`noise_only_query`] mechanism, by the rule
+/// the noised-query mechanisms of `sampcert-core` release with: a draw at
+/// either end of `i64` is saturated noise and the result takes that end,
+/// any other draw is added with `saturating_add`. The single-pass request
+/// samplers add this way so they release exactly what the compositional
+/// mechanisms they are pinned to release.
+pub(crate) fn add_noise(value: i64, noise: i64) -> i64 {
+    if noise == i64::MIN || noise == i64::MAX {
+        noise
+    } else {
+        value.saturating_add(noise)
+    }
+}
+
 /// A noised count of the rows, at `noise_priv(γ₁, γ₂)`-ADP.
 ///
 /// # Examples
@@ -149,7 +163,7 @@ pub fn workload_request<D: DpNoise, T: 'static>(
             let mut values = Vec::with_capacity(queries.len());
             for q in queries.iter() {
                 let noise = &programs[&q.sensitivity()];
-                values.push(q.eval(db) + noise.run(&[], src));
+                values.push(add_noise(q.eval(db), noise.run(&[], src)));
             }
             values
         },
@@ -267,7 +281,6 @@ mod tests {
         // ε = 1/4 per query: dyadic, so the exact meter loses nothing.
         let req = workload_request::<PureDp, i64>(&workload, 1, 4);
         let mut session = Session::<PureDp>::builder()
-            .exact()
             .ledger(1.5)
             .inline()
             .seeded(9)

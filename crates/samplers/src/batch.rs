@@ -340,6 +340,10 @@ mod tests {
                 LaplaceAlg::Switched,
                 2,
             ),
+            // σ = 2⁶² on the compiled tier: some Laplace candidates exceed
+            // i64, and the general program judges them by their exact
+            // magnitude too, saturating only the accepted output.
+            (nat(1 << 62), nat(1), LaplaceAlg::Switched, 64),
         ] {
             let prog = discrete_gaussian::<Sampling>(&num, &den, alg);
             let mut seq_src = CountingByteSource::new(SeededByteSource::new(42));
@@ -393,6 +397,16 @@ mod tests {
                 LaplaceAlg::Switched,
                 3,
             ),
+            // Scales whose draws overflow i64 (about e⁻² of them at 2⁶²,
+            // nearly all at 2⁷⁰): the fused and compiled tiers saturate
+            // exactly as the general program does.
+            (nat(1 << 62), nat(1), LaplaceAlg::Switched, 64),
+            (
+                &nat(1 << 35) * &nat(1 << 35),
+                nat(1),
+                LaplaceAlg::Switched,
+                8,
+            ),
         ] {
             let prog = discrete_laplace::<Sampling>(&num, &den, alg);
             let mut seq_src = CountingByteSource::new(SeededByteSource::new(7));
@@ -400,6 +414,12 @@ mod tests {
             let mut batch_src = CountingByteSource::new(SeededByteSource::new(7));
             let batch = discrete_laplace_many(&num, &den, alg, n, &mut batch_src);
             assert_eq!(batch, seq, "values ({num:?}/{den:?}, {alg:?})");
+            if num.bit_length() >= den.bit_length() + 62 {
+                assert!(
+                    seq.iter().any(|&v| v == i64::MIN || v == i64::MAX),
+                    "no draw saturated ({num:?}/{den:?})"
+                );
+            }
             assert_eq!(
                 batch_src.bytes_read(),
                 seq_src.bytes_read(),

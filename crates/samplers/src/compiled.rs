@@ -18,6 +18,7 @@
 //! clones. A serving process that draws noise at a fixed handful of scales
 //! compiles each scale exactly once, no matter how many batches it runs.
 
+use crate::helpers::signed_to_i64;
 use crate::laplace::{resolve_alg, LaplaceAlg};
 use sampcert_arith::Nat;
 use sampcert_extract::{
@@ -88,19 +89,12 @@ pub(crate) fn value_to_nat(v: &Value) -> Nat {
     v.to_nat().expect("uniform draw below a nonnegative bound")
 }
 
-/// A VM result as a signed sample, with the same overflow panics as the
-/// monadic path's `nat_to_i64` (so the tiers agree even on the aborts).
+/// A VM result as a signed sample, saturating exactly like the monadic
+/// path's `nat_to_i64` (so the tiers agree on every draw).
 pub(crate) fn value_to_i64(v: &Value) -> i64 {
-    let w = match v.to_i128() {
-        Some(w) => w,
-        None => panic!("sample magnitude exceeds u64 range"),
-    };
-    let mag = u64::try_from(w.unsigned_abs()).expect("sample magnitude exceeds u64 range");
-    let mag = i64::try_from(mag).expect("sample magnitude exceeds i64 range");
-    if w < 0 {
-        -mag
-    } else {
-        mag
+    match v {
+        Value::Small(w) => signed_to_i64(*w < 0, w.unsigned_abs()),
+        Value::Big(w) => signed_to_i64(w.is_negative(), u128::MAX),
     }
 }
 
@@ -157,8 +151,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sample magnitude exceeds i64 range")]
-    fn value_conversion_overflow_mirrors_the_monadic_panic() {
-        let _ = value_to_i64(&Value::Small(i64::MAX as i128 + 1));
+    fn value_conversion_overflow_saturates_like_the_monadic_path() {
+        let over = i64::MAX as i128 + 1;
+        assert_eq!(value_to_i64(&Value::Small(over)), i64::MAX);
+        assert_eq!(value_to_i64(&Value::Small(-over)), i64::MIN);
+        assert_eq!(value_to_i64(&Value::Small(-over - 1)), i64::MIN);
+        assert_eq!(value_to_i64(&Value::Small(i128::MIN)), i64::MIN);
+        let big = Value::from_nat(&(&Nat::from(u128::MAX) * &nat(3)));
+        assert_eq!(value_to_i64(&big), i64::MAX);
+        let neg_big = Value::from_int(-&big.to_int());
+        assert_eq!(value_to_i64(&neg_big), i64::MIN);
     }
 }

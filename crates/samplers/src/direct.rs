@@ -17,6 +17,7 @@
 //! up to ≈ 4·10⁹ with den = 1); the `SLang` samplers remain the fully
 //! general path.
 
+use crate::helpers::signed_to_i64;
 use crate::laplace::{LaplaceAlg, SWITCH_SCALE};
 use sampcert_slang::ByteSource;
 
@@ -186,8 +187,7 @@ impl FusedLaplace {
             if b && m == 0 {
                 continue; // reject (+, 0): it double-counts zero
             }
-            let mag = i64::try_from(m).expect("sample magnitude exceeds i64");
-            return if b { -mag } else { mag };
+            return signed_to_i64(b, m);
         }
     }
 }

@@ -9,7 +9,8 @@
 //! in Fig. 4 while σ-linear baselines fall behind.
 
 use crate::bernoulli::bernoulli_exp_neg;
-use crate::laplace::{discrete_laplace, LaplaceAlg};
+use crate::helpers::nat_to_i64;
+use crate::laplace::{discrete_laplace_signed, LaplaceAlg};
 use sampcert_arith::{Int, Nat};
 use sampcert_slang::{map, until, Interp};
 
@@ -27,14 +28,19 @@ pub fn gaussian_loop<I: Interp>(
     let num2 = num.clone();
     let den2 = den.clone();
     let t2 = t.clone();
-    I::bind(discrete_laplace::<I>(t, &Nat::one(), alg), move |&y| {
-        // (|Y|·t·den − num)² — computed in ℤ, then squared into ℕ.
-        let abs_y = Nat::from(y.unsigned_abs());
-        let lhs = &Int::from_nat(&(&abs_y * &t2) * &den2) - &Int::from_nat(num2.clone());
-        let sq = lhs.magnitude().pow(2);
-        let bound = &(&Nat::from(2u64) * &num2) * &(&t2.pow(2) * &den2);
-        map::<I, _, _>(bernoulli_exp_neg::<I>(&sq, &bound), move |&c| (y, c))
-    })
+    I::bind(
+        discrete_laplace_signed::<I>(t, &Nat::one(), alg),
+        move |(negative, abs_y)| {
+            // (|Y|·t·den − num)² — computed in ℤ on the exact magnitude,
+            // then squared into ℕ; only the accepted candidate's output
+            // saturates into `i64`, as on the compiled tier.
+            let lhs = &Int::from_nat(&(abs_y * &t2) * &den2) - &Int::from_nat(num2.clone());
+            let sq = lhs.magnitude().pow(2);
+            let bound = &(&Nat::from(2u64) * &num2) * &(&t2.pow(2) * &den2);
+            let y = nat_to_i64(*negative, abs_y);
+            map::<I, _, _>(bernoulli_exp_neg::<I>(&sq, &bound), move |&c| (y, c))
+        },
+    )
 }
 
 /// `DiscreteGaussianSample` (Listing 11): an exact sample from the discrete

@@ -122,12 +122,12 @@ pub(crate) fn resolve_alg(num: &Nat, den: &Nat, alg: LaplaceAlg) -> LaplaceAlg {
 /// Runs the selected sampling loop inside `probUntil`, rejecting the
 /// double-counted `(+, 0)` outcome, and applies the sign.
 ///
+/// A sample outside the `i64` range saturates to `i64::MIN` or
+/// `i64::MAX` — a tail event only at scales near `2⁶³` and beyond.
+///
 /// # Panics
 ///
-/// Panics (at program construction) if `num` or `den` is zero. Panics at
-/// sampling time if a drawn magnitude exceeds `i64` — impossible in
-/// practice for scales below `≈ 4·10¹⁷` (the tail probability at `i64::MAX`
-/// is below `e^{-20}` even then).
+/// Panics (at program construction) if `num` or `den` is zero.
 ///
 /// # Examples
 ///
@@ -141,6 +141,24 @@ pub(crate) fn resolve_alg(num: &Nat, den: &Nat, alg: LaplaceAlg) -> LaplaceAlg {
 /// let _z: i64 = lap.run(&mut src);
 /// ```
 pub fn discrete_laplace<I: Interp>(num: &Nat, den: &Nat, alg: LaplaceAlg) -> I::Repr<i64> {
+    map::<I, _, _>(discrete_laplace_signed::<I>(num, den, alg), |(b, m)| {
+        nat_to_i64(*b, m)
+    })
+}
+
+/// [`discrete_laplace`] before the conversion to `i64`: the sample as
+/// `(negative, magnitude)`, exact at any scale — what the discrete
+/// Gaussian's acceptance test reads, so a candidate too large for `i64`
+/// is judged by its true magnitude.
+///
+/// # Panics
+///
+/// Panics (at program construction) if `num` or `den` is zero.
+pub(crate) fn discrete_laplace_signed<I: Interp>(
+    num: &Nat,
+    den: &Nat,
+    alg: LaplaceAlg,
+) -> I::Repr<(bool, Nat)> {
     assert!(
         !num.is_zero() && !den.is_zero(),
         "discrete_laplace: zero scale parameter"
@@ -150,15 +168,7 @@ pub fn discrete_laplace<I: Interp>(num: &Nat, den: &Nat, alg: LaplaceAlg) -> I::
         LaplaceAlg::Uniform => laplace_loop_uniform::<I>(num, den),
         LaplaceAlg::Switched => unreachable!("resolved above"),
     };
-    let r = until::<I, _>(loop_prog, |x: &(bool, Nat)| !(x.0 && x.1.is_zero()));
-    map::<I, _, _>(r, |(b, m)| {
-        let mag = nat_to_i64(m);
-        if *b {
-            -mag
-        } else {
-            mag
-        }
-    })
+    until::<I, _>(loop_prog, |x: &(bool, Nat)| !(x.0 && x.1.is_zero()))
 }
 
 #[cfg(test)]

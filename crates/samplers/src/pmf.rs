@@ -121,20 +121,29 @@ pub fn gaussian_mass(sigma2: f64, mu: i64, radius: i64) -> SubPmf<i64, f64> {
 }
 
 /// A conservative truncation radius capturing all but `≈ e^{−40}` of the
-/// mass of `Lap_t` (scale `t`).
+/// mass of `Lap_t` (scale `t`), saturating at `i64::MAX`.
 pub fn laplace_radius(t: f64) -> i64 {
-    (40.0 * t).ceil() as i64 + 1
+    ((40.0 * t).ceil() as i64).saturating_add(1)
 }
 
 /// A conservative truncation radius for the discrete Gaussian with
-/// variance `sigma2` (≈ 9σ captures all but `e^{−40}`).
+/// variance `sigma2` (≈ 9σ captures all but `e^{−40}`), saturating at
+/// `i64::MAX`.
 pub fn gaussian_radius(sigma2: f64) -> i64 {
-    (9.0 * sigma2.sqrt()).ceil() as i64 + 1
+    ((9.0 * sigma2.sqrt()).ceil() as i64).saturating_add(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn radii_saturate_instead_of_overflowing() {
+        assert_eq!(laplace_radius(2.0), 81);
+        assert_eq!(laplace_radius(2f64.powi(62)), i64::MAX);
+        assert_eq!(gaussian_radius(4.0), 19);
+        assert_eq!(gaussian_radius(2f64.powi(130)), i64::MAX);
+    }
 
     #[test]
     fn laplace_pmf_normalizes() {

@@ -27,7 +27,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- first life: create the journal, spend some budget, "crash" ----
     {
         let mut session = Session::<PureDp>::builder()
-            .exact() // every charge a Dyadic, comparisons strict
             .registry(2.0) // per-principal allowance ε = 2
             .durable(&journal)? // group-committed write-ahead journal, created here
             .inline()
@@ -56,7 +55,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- second life: reopen the same path, recovery replays ----
     let mut session = Session::<PureDp>::builder()
-        .exact()
         .registry(2.0)
         .durable(&journal)? // same file: recovery happens inside this call
         .inline()

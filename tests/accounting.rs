@@ -4,8 +4,8 @@
 
 use sampcert::arith::Dyadic;
 use sampcert::core::{
-    count_query, AbstractDp, ApproxPrivate, ExactLedger, ExactRdpAccountant, Ledger, Private,
-    PureDp, RdpAccountant, RenyiDp, Zcdp,
+    count_query, AbstractDp, ApproxPrivate, BudgetRegistry, Ledger, Private, PureDp, RdpAccountant,
+    RenyiDp, Request, Session, SessionError, Zcdp,
 };
 use sampcert::stattest::renyi_divergence_report;
 
@@ -111,57 +111,34 @@ fn approx_layer_sums_heterogeneous_sessions() {
 }
 
 /// Accountant law: `ε(δ)` is antitone in `δ` (a looser failure allowance
-/// never demands a larger ε), for both budget carriers and under
-/// heterogeneous spending.
+/// never demands a larger ε), under heterogeneous spending.
 #[test]
 fn epsilon_is_monotone_in_delta() {
     let mut rng = SessionRng(11);
-    let mut float = RdpAccountant::with_default_orders();
-    let mut exact = ExactRdpAccountant::with_orders(RdpAccountant::default_order_grid());
+    let mut exact = RdpAccountant::with_default_orders();
     for i in 0..40 {
         let sigma = 1.0 + (rng.next() % 64) as f64;
-        float.add_gaussian(sigma);
         exact.add_gaussian(sigma);
         if i % 3 == 0 {
-            let eps = rng.charge();
-            float.add_pure(eps);
-            exact.add_pure(eps);
+            exact.add_pure(rng.charge());
         }
     }
     let deltas = [1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.5];
-    for acct_eps in [
-        deltas.map(|d| float.epsilon(d).0),
-        deltas.map(|d| exact.epsilon(d).0),
-    ] {
-        for w in acct_eps.windows(2) {
-            assert!(
-                w[1] <= w[0],
-                "eps increased as delta loosened: {acct_eps:?}"
-            );
-        }
+    let acct_eps = deltas.map(|d| exact.epsilon(d).0);
+    for w in acct_eps.windows(2) {
+        assert!(
+            w[1] <= w[0],
+            "eps increased as delta loosened: {acct_eps:?}"
+        );
     }
 }
 
-/// Accountant law: `charge_batch` ≡ `n` sequential `charge`s — to within
-/// f64 fold rounding on the float carrier, **exactly** on the dyadic one.
+/// Accountant law: `charge_batch` ≡ `n` sequential `charge`s, **exactly**.
 #[test]
 fn charge_batch_equals_sequential_charges_for_both_carriers() {
     for (gamma, n) in [(0.013, 997u64), (0.125, 64), (1e-6, 100_000)] {
-        let mut f_batch: Ledger<Zcdp> = Ledger::new(1e9);
-        let mut f_seq: Ledger<Zcdp> = Ledger::new(1e9);
-        f_batch.charge_batch("batch", gamma, n).unwrap();
-        for i in 0..n {
-            f_seq.charge(format!("q{i}"), gamma).unwrap();
-        }
-        assert!(
-            (f_batch.spent() - f_seq.spent()).abs() <= 1e-12 * f_seq.spent().max(1.0),
-            "f64 carrier: {} vs {}",
-            f_batch.spent(),
-            f_seq.spent()
-        );
-
-        let mut d_batch: ExactLedger<Zcdp> = Ledger::new(1e9);
-        let mut d_seq: ExactLedger<Zcdp> = Ledger::new(1e9);
+        let mut d_batch: Ledger<Zcdp> = Ledger::new(1e9);
+        let mut d_seq: Ledger<Zcdp> = Ledger::new(1e9);
         d_batch.charge_batch("batch", gamma, n).unwrap();
         for i in 0..n {
             d_seq.charge(format!("q{i}"), gamma).unwrap();
@@ -174,7 +151,7 @@ fn charge_batch_equals_sequential_charges_for_both_carriers() {
     }
 }
 
-/// Exact-vs-f64 ledger agreement over random sessions, within the stated
+/// Exact ledger vs an `f64` fold of the same charges, within the stated
 /// rounding bound. Per charge, the conversion onto the lattice rounds
 /// **up** by at most one `2^MIN_EXP` quantum, and the f64 fold rounds its
 /// running total by at most one ulp of the final total — so after `n`
@@ -185,22 +162,21 @@ fn charge_batch_equals_sequential_charges_for_both_carriers() {
 fn exact_and_f64_ledgers_agree_within_rounding_bound() {
     for seed in [1u64, 7, 42] {
         let mut rng = SessionRng(seed);
-        let mut float: Ledger<PureDp> = Ledger::new(1e9);
-        let mut exact: ExactLedger<PureDp> = Ledger::new(1e9);
+        let mut float = 0.0f64;
+        let mut exact: Ledger<PureDp> = Ledger::new(1e9);
         let n = 2000;
         for i in 0..n {
             let g = rng.charge();
-            float.charge(format!("q{i}"), g).unwrap();
+            float = PureDp::compose(float, g);
             exact.charge(format!("q{i}"), g).unwrap();
         }
-        let total = float.spent();
-        let bound = n as f64 * (f64::EPSILON * total.max(1.0) + 2f64.powi(Dyadic::MIN_EXP as i32));
-        let diff = (total - exact.spent()).abs();
+        let bound = n as f64 * (f64::EPSILON * float.max(1.0) + 2f64.powi(Dyadic::MIN_EXP as i32));
+        let diff = (float - exact.spent()).abs();
         assert!(
             diff <= bound,
             "seed {seed}: ledgers drifted {diff} > {bound}"
         );
-        assert_eq!(exact.entries().len(), float.entries().len());
+        assert_eq!(exact.entries().len(), n);
     }
 }
 
@@ -213,8 +189,8 @@ fn exact_and_f64_ledgers_agree_within_rounding_bound() {
 #[test]
 fn dyadic_ledger_charge_path_performs_no_gcd() {
     let mut rng = SessionRng(3);
-    let mut ledger: ExactLedger<Zcdp> = Ledger::new(1e6);
-    let mut acct = ExactRdpAccountant::with_orders(vec![2.0, 4.0, 32.0]);
+    let mut ledger: Ledger<Zcdp> = Ledger::new(1e6);
+    let mut acct = RdpAccountant::new(vec![2.0, 4.0, 32.0]);
     let before = sampcert::arith::gcd_call_count();
     for i in 0..500 {
         ledger.charge(format!("q{i}"), rng.charge()).unwrap();
@@ -236,12 +212,40 @@ fn dyadic_ledger_charge_path_performs_no_gcd() {
     assert!(sampcert::arith::gcd_call_count() > before);
 }
 
+/// A budget spent to the last bit admits nothing more: a 2⁻⁴¹ charge —
+/// below the 1e-12 an `f64` meter would forgive — is refused by a
+/// default `Ledger`, a default `BudgetRegistry` and a default `Session`.
+#[test]
+fn spent_budget_refuses_a_charge_of_two_to_the_minus_41() {
+    let tiny = 2f64.powi(-41);
+
+    let mut ledger: Ledger<PureDp> = Ledger::new(1.0);
+    ledger.charge("all", 1.0).unwrap();
+    assert!(ledger.charge("tiny", tiny).is_err());
+    assert_eq!(ledger.spent_exact(), &Dyadic::from(1u64));
+
+    let registry: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 4);
+    registry.charge(3, 1.0).unwrap();
+    assert!(registry.charge(3, tiny).is_err());
+    assert_eq!(registry.spent_exact(3), Dyadic::from(1u64));
+
+    let mut session = Session::<PureDp>::builder().ledger(1.0).inline().build();
+    session
+        .answer(&Request::<PureDp, (), i64>::noise(1, 1), &[])
+        .unwrap();
+    let tiny_req: Request<PureDp, (), i64> = Request::noise(1 << 41, 1);
+    assert_eq!(tiny_req.gamma_each(), tiny);
+    let err = session.answer(&tiny_req, &[]).unwrap_err();
+    assert!(matches!(err, SessionError::Budget(_)), "{err}");
+    assert_eq!(session.accountant().spent_exact(), &Dyadic::from(1u64));
+}
+
 /// The exact carrier refuses with exact quantities: requested and
 /// remaining come back as dyadic values whose `Display` is an exact
 /// finite decimal, not a lossy float cast.
 #[test]
 fn exact_rejection_reports_exact_quantities() {
-    let mut ledger: ExactLedger<PureDp> = Ledger::new(1.0);
+    let mut ledger: Ledger<PureDp> = Ledger::new(1.0);
     ledger.charge("warmup", 0.75).unwrap();
     let err = ledger.charge("big", 0.5).unwrap_err();
     assert_eq!(err.requested, Dyadic::from_f64_ceil(0.5));

@@ -16,12 +16,12 @@
 //!   the observed depth and bound, and refusals consume no entropy;
 //! - the async/sync equivalence matrix: `answer_async` resolves to the
 //!   same bytes and records the same charges as `answer` for every legal
-//!   builder chain (both carriers × every accountant × the inline
+//!   builder chain (every accountant × the inline
 //!   executor and the runtime crate's pooled `RtExecutor`), and
 //!   `answer_for_async` likewise matches `answer_for` on per-principal
 //!   sessions;
-//! - the probe/charge agreement proptest: on every accountant and both
-//!   carriers, `can_admit` / `can_admit_for` is true exactly when the
+//! - the probe/charge agreement proptest: on every accountant,
+//!   `can_admit` / `can_admit_for` is true exactly when the
 //!   charge that follows succeeds, so a budget shed refuses exactly what
 //!   the charge would have refused;
 //! - a compile-time check that the async futures are `Send` on the
@@ -76,7 +76,6 @@ proptest! {
         let queue: Ingress<u64> = Ingress::bounded(cap);
         // ε = 2 per principal admits exactly 4 answers at ε = 1/2.
         let mut storm = Session::<PureDp>::builder()
-            .exact()
             .registry(2.0)
             .admission(AdmissionPolicy::open().max_queue_depth(cap).shed_unservable())
             .ingress(queue.gauge())
@@ -115,7 +114,6 @@ proptest! {
         // admission machinery at all: byte-equal answers (sheds consumed
         // no entropy) and identical exact per-principal spend.
         let mut replay = Session::<PureDp>::builder()
-            .exact()
             .registry(2.0)
             .inline()
             .seeded(seed)
@@ -290,14 +288,14 @@ fn answer_async_equals_answer_for_every_builder_chain() {
         }};
     }
 
-    // Global f64 ledger × inline / pooled executors of two lane counts.
-    pair!((ledger(1e6).inline().seeded(3)), (spent()));
-    pair!((ledger(1e6).executor::<RtExecutor>(2).seeded(3)), (spent()));
-    pair!((ledger(1e6).executor::<RtExecutor>(3).seeded(3)), (spent()));
-    // Exact carrier.
-    pair!((exact().ledger(1e6).inline().seeded(3)), (spent_exact()));
+    // Global ledger × inline / pooled executors of two lane counts.
+    pair!((ledger(1e6).inline().seeded(3)), (spent_exact()));
     pair!(
-        (exact().ledger(1e6).executor::<RtExecutor>(2).seeded(3)),
+        (ledger(1e6).executor::<RtExecutor>(2).seeded(3)),
+        (spent_exact())
+    );
+    pair!(
+        (ledger(1e6).executor::<RtExecutor>(3).seeded(3)),
         (spent_exact())
     );
     // RDP meters, inline and pooled.
@@ -307,7 +305,7 @@ fn answer_async_equals_answer_for_every_builder_chain() {
         (epsilon())
     );
     pair!(
-        (exact().rdp(1e-6, 1e6).executor::<RtExecutor>(3).seeded(3)),
+        (rdp(1e-6, 1e6).executor::<RtExecutor>(3).seeded(3)),
         (epsilon())
     );
     // With admission machinery attached (open policy, generous bound):
@@ -333,13 +331,11 @@ fn answer_for_async_equals_answer_for() {
     let req = count_req();
     let db = [7u8; 10];
     let mut sync_s = Session::<PureDp>::builder()
-        .exact()
         .registry(8.0)
         .inline()
         .seeded(9)
         .build_per_principal();
     let mut async_s = Session::<PureDp>::builder()
-        .exact()
         .registry(8.0)
         .inline()
         .seeded(9)
@@ -360,9 +356,8 @@ fn answer_for_async_equals_answer_for() {
 }
 
 /// A per-unit γ for the probe/charge property: dyadic eighths, the
-/// non-dyadic tenths, and steps of 10⁻¹³ that land inside the `f64`
-/// carrier's `1e-12` acceptance tolerance, so both carriers' rounding
-/// meets the budget boundary.
+/// non-dyadic tenths, and steps of 10⁻¹³, so the upward rounding of
+/// charges meets the budget boundary.
 fn unit_gamma(k: u64, scale: u64) -> f64 {
     k as f64 * [0.125, 0.1, 1e-13][scale as usize % 3]
 }
@@ -449,7 +444,7 @@ fn probe_agrees_on_carrier<B: Budget>(prior: f64, steps: &[(f64, u64)]) {
 
 proptest! {
     /// The admission probe is the charge's own check: for every
-    /// accountant, both carriers and any spend history, `can_admit` /
+    /// accountant and any spend history, `can_admit` /
     /// `can_admit_for` says yes exactly when the charge that follows
     /// succeeds. A budget shed therefore refuses exactly the requests
     /// the charge would refuse — no more, no fewer.
@@ -458,14 +453,14 @@ proptest! {
         prior_pick in 0usize..5,
         raw in prop::collection::vec((0u64..12, 0u64..3, 0u64..10), 1..16),
     ) {
-        // Empty, half spent, exactly spent, spent past the budget within
-        // the f64 carrier's tolerance, and over the allowance.
+        // Empty, half spent, exactly spent, a hair past the budget (a
+        // refused prior for the global accountants), and over the
+        // allowance.
         let prior = [0.0, 0.5, 1.0, 1.0 + 5e-13, 1.25][prior_pick];
         let steps: Vec<(f64, u64)> = raw
             .iter()
             .map(|&(k, scale, units)| (unit_gamma(k, scale), units))
             .collect();
-        probe_agrees_on_carrier::<f64>(prior, &steps);
         probe_agrees_on_carrier::<Dyadic>(prior, &steps);
     }
 }
@@ -483,7 +478,6 @@ fn answer_futures_are_send() {
     let req = count_req();
     let db = [7u8; 10];
     let mut durable = Session::<PureDp>::builder()
-        .exact()
         .registry(1.0)
         .durable_with_options(MemStorage::new(), DurableOptions::default())
         .expect("fresh in-memory journal")
@@ -512,7 +506,6 @@ fn durable_workload_refusal_journals_nothing() {
     let db = [7u8; 10];
     let storage = MemStorage::new();
     let mut session = Session::<PureDp>::builder()
-        .exact()
         .registry(1.0)
         .durable_with_options(storage.clone(), DurableOptions::default())
         .expect("fresh in-memory journal")
@@ -555,7 +548,6 @@ fn pooled_async_workload_refusal_spends_nothing_and_draws_nothing() {
     let db = [7u8; 10];
     let pooled = || {
         Session::<Zcdp>::builder()
-            .exact()
             .ledger(0.5)
             .executor::<RtExecutor>(2)
             .seeded(13)

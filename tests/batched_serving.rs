@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use sampcert::arith::{Dyadic, Nat};
 use sampcert::core::{
-    count_query, DpNoise, ExactLedger, Ledger, Private, PureDp, Query, RdpAccountant, Request,
-    Session, SessionError, Zcdp,
+    count_query, DpNoise, Ledger, Private, PureDp, Query, RdpAccountant, Request, Session,
+    SessionError, Zcdp,
 };
 use sampcert::mechanisms::{histogram_request, noised_histogram, workload_request, Bins};
 use sampcert::samplers::{discrete_gaussian, discrete_gaussian_many, LaplaceAlg};
@@ -43,12 +43,11 @@ fn serving_session_charges_once_per_batch() {
     let db = vec![0u8; 50];
 
     let mut session = Session::<Zcdp>::builder()
-        .exact()
         .ledger(10.0)
         .inline()
         .seeded(7)
         .build();
-    let mut individual_ledger: ExactLedger<Zcdp> = Ledger::new(10.0);
+    let mut individual_ledger: Ledger<Zcdp> = Ledger::new(10.0);
     for round in 0..3 {
         let batch = session
             .answer_many(&req, &db, 200)
@@ -120,7 +119,6 @@ fn workload_batch_fits_ledger_or_leaves_it_untouched() {
 
     // Budget 5: a 20 × ε/2 = 10 workload is refused before any draw.
     let mut session = Session::<PureDp>::builder()
-        .exact()
         .ledger(5.0)
         .inline()
         .seeded(12)
@@ -162,7 +160,6 @@ fn refused_histogram_batch_spends_nothing_and_draws_nothing() {
     // ε = 1/2 per histogram: 4 bins of ε = 1/8, all dyadic.
     let req = histogram_request::<PureDp, u32>(&bins, 1, 2);
     let mut session = Session::<PureDp>::builder()
-        .exact()
         .ledger(2.0)
         .inline()
         .seeded(41)
@@ -204,7 +201,6 @@ fn charges_before_it_draws<D: DpNoise>(budget: f64, den: u64, n: usize, seed: u6
     // so these f64 products and comparisons are exact.
     let price = n as f64 * p.gamma();
     let mut session = Session::<D>::builder()
-        .exact()
         .ledger(budget)
         .inline()
         .seeded(seed)

@@ -3,7 +3,7 @@
 //! independent and replayable.
 //!
 //! Concurrent charges to one principal of a shared
-//! [`ExactBudgetRegistry`] must never jointly spend more than its
+//! [`BudgetRegistry`] must never jointly spend more than its
 //! allowance, and the spend it records must be exactly the sum of the
 //! charges it accepted. These tests attack the claim with thread stress
 //! on the exact carrier — every quantity a `Dyadic`, every comparison
@@ -14,7 +14,7 @@
 
 use sampcert_arith::Dyadic;
 use sampcert_arith::Nat;
-use sampcert_core::{Entropy, ExactBudgetRegistry, Executor, PureDp, Request, Zcdp};
+use sampcert_core::{BudgetRegistry, Entropy, Executor, PureDp, Request, Zcdp};
 use sampcert_rt::RtExecutor;
 use sampcert_samplers::{discrete_gaussian_many, LaplaceAlg};
 use sampcert_slang::{ByteSource, SplitSeed};
@@ -40,7 +40,7 @@ fn schedule(seed: u64) -> impl FnMut(u64) -> u64 {
 #[test]
 fn stressed_principal_never_overspends_exact_allowance() {
     let threads = 8;
-    let registry: ExactBudgetRegistry<PureDp> = ExactBudgetRegistry::new(1.0, threads);
+    let registry: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, threads);
     let accepted: Vec<Dyadic> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
@@ -88,7 +88,7 @@ fn stressed_principal_never_overspends_exact_allowance() {
 #[test]
 fn uniform_exact_charges_drain_the_allowance_completely() {
     let threads = 4;
-    let registry: ExactBudgetRegistry<Zcdp> = ExactBudgetRegistry::new(1.0, threads);
+    let registry: BudgetRegistry<Zcdp> = BudgetRegistry::new(1.0, threads);
     let counts: Vec<u64> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
@@ -120,7 +120,7 @@ fn uniform_exact_charges_drain_the_allowance_completely() {
 /// allowance remains fully spendable by the survivors.
 #[test]
 fn panicking_chargers_strand_no_budget() {
-    let registry: ExactBudgetRegistry<PureDp> = ExactBudgetRegistry::new(1.0, 4);
+    let registry: BudgetRegistry<PureDp> = BudgetRegistry::new(1.0, 4);
     std::thread::scope(|scope| {
         let dying: Vec<_> = (0..3)
             .map(|_| {

@@ -1,7 +1,7 @@
 //! API-equivalence suite for the `Session` front door (the tentpole of
 //! the session PR): the one polymorphic surface must release **the same
 //! bytes** and record **the same charges** as every legacy entry point it
-//! collapses, for both budget carriers and both entropy backends.
+//! collapses, for both entropy backends.
 //!
 //! Layout:
 //!
@@ -16,15 +16,15 @@
 //!   carrier;
 //! - an OS-entropy smoke pass of the same paths (accounting is
 //!   entropy-independent; the stream itself is not replayable);
-//! - the full builder combination matrix — every carrier × accountant ×
-//!   executor × entropy chain the builder can express compiles and runs
+//! - the full builder combination matrix — every accountant × executor
+//!   × entropy chain the builder can express compiles and runs
 //!   (a principal-less `answer` on a per-principal session is a
 //!   compile-fail doctest in `sampcert-core::session`).
 
 use sampcert::arith::Dyadic;
 use sampcert::core::{
-    count_query, lane_partition, Budget, DpNoise, Entropy, Executor, Ledger, Mechanism, Private,
-    PureDp, Query, Request, Session, SessionError, Zcdp,
+    count_query, lane_partition, DpNoise, Entropy, Executor, Ledger, Mechanism, Private, PureDp,
+    Query, Request, Session, SessionError, Zcdp,
 };
 use sampcert::mechanisms::{
     histogram_request, noised_histogram, svt_request, workload_request, Bins, SvtParams,
@@ -51,47 +51,59 @@ fn per_lane_replay<T: 'static, U: Value>(
     out
 }
 
-/// `Session` (inline, seeded) vs `Private::run_many`: same bytes, for
-/// both carriers.
+/// `Session` (inline, seeded) vs `Private::run_many`: same bytes.
 #[test]
 fn inline_answer_many_equals_private_run_many_bytewise() {
-    fn check<B: Budget>(session_answers: Vec<i64>, root: u64, n: usize) {
-        let p: Private<PureDp, u8, i64> = Private::noised_query(&count_query(), 1, 4);
-        let mut legacy_src = SplitSeed::new(root).stream(0);
-        let legacy = p.run_many(&[7u8; 12], n, &mut legacy_src);
-        assert_eq!(session_answers, legacy, "carrier {}", B::NAME);
-    }
-
     let p: Private<PureDp, u8, i64> = Private::noised_query(&count_query(), 1, 4);
     let req = Request::from_private(&p, "count");
 
-    let mut f64_session = Session::<PureDp>::builder()
+    let mut session = Session::<PureDp>::builder()
         .ledger(1e6)
         .inline()
         .seeded(11)
         .build();
-    check::<f64>(
-        f64_session.answer_many(&req, &[7u8; 12], 100).unwrap(),
-        11,
-        100,
-    );
-    assert!((f64_session.accountant().spent() - 25.0).abs() < 1e-9);
-
-    let mut exact_session = Session::<PureDp>::builder()
-        .exact()
-        .ledger(1e6)
-        .inline()
-        .seeded(11)
-        .build();
-    check::<Dyadic>(
-        exact_session.answer_many(&req, &[7u8; 12], 100).unwrap(),
-        11,
-        100,
-    );
-    // ε = 1/4 is dyadic: the exact ledger records exactly 25.
+    let mut legacy_src = SplitSeed::new(11).stream(0);
     assert_eq!(
-        exact_session.accountant().spent_exact(),
+        session.answer_many(&req, &[7u8; 12], 100).unwrap(),
+        p.run_many(&[7u8; 12], 100, &mut legacy_src)
+    );
+    // ε = 1/4 is dyadic: the ledger records exactly 25.
+    assert_eq!(
+        session.accountant().spent_exact(),
         &Dyadic::from_f64_ceil(25.0)
+    );
+}
+
+/// Noise at scale 2⁶² overflows `i64` on about e⁻² of its draws. Those
+/// draws saturate instead of panicking after the charge: 2,000 inline
+/// answers and one 2-lane pooled batch of 64 all return, and each equals
+/// the sequential replay of its lane's stream.
+#[test]
+fn noise_beyond_i64_saturates_inline_and_pooled() {
+    let req: Request<PureDp, (), i64> = Request::noise(1 << 62, 1);
+
+    let mut inline = Session::<PureDp>::builder()
+        .ledger(1e9)
+        .inline()
+        .seeded(21)
+        .build();
+    let mut replay = SplitSeed::new(21).stream(0);
+    let mut saturated = 0;
+    for i in 0..2_000 {
+        let got = inline.answer(&req, &[]).unwrap();
+        assert_eq!(got, req.mechanism().run(&[], &mut replay), "answer {i}");
+        saturated += usize::from(got == i64::MIN || got == i64::MAX);
+    }
+    assert!(saturated > 0, "no answer reached the i64 bounds");
+
+    let mut pooled = Session::<PureDp>::builder()
+        .ledger(1e9)
+        .executor::<RtExecutor>(2)
+        .seeded(22)
+        .build();
+    assert_eq!(
+        pooled.answer_many(&req, &[], 64).unwrap(),
+        per_lane_replay(req.mechanism(), &[], 64, 2, 22)
     );
 }
 
@@ -109,7 +121,6 @@ fn histogram_request_equals_noised_histogram_bytewise_and_in_exact_charge() {
         let reference = noised_histogram::<D, i64>(&bins, 1, 3);
 
         let mut session = Session::<D>::builder()
-            .exact()
             .ledger(10.0)
             .inline()
             .seeded(root)
@@ -236,7 +247,7 @@ fn svt_request_equals_above_threshold_bytewise() {
 }
 
 /// Pooled `Session` (global ledger, seeded) vs the per-lane sequential
-/// replay: same bytes for the same root and lane count, on both carriers.
+/// replay: same bytes for the same root and lane count.
 #[test]
 fn pooled_answer_many_equals_per_lane_replay_bytewise() {
     let q = count_query::<u8>();
@@ -246,7 +257,6 @@ fn pooled_answer_many_equals_per_lane_replay_bytewise() {
     let lanes = 3;
     let expect = per_lane_replay(p.mechanism(), &db, 100, lanes, 9);
 
-    // f64 carrier.
     let mut session = Session::<Zcdp>::builder()
         .ledger(1e6)
         .executor::<RtExecutor>(lanes)
@@ -255,15 +265,6 @@ fn pooled_answer_many_equals_per_lane_replay_bytewise() {
     assert_eq!(session.executor().lanes(), lanes);
     let got = session.answer_many(&req, &db, 100).unwrap();
     assert_eq!(got, expect);
-
-    // Exact carrier, same bytes again.
-    let mut exact = Session::<Zcdp>::builder()
-        .exact()
-        .ledger(1e6)
-        .executor::<RtExecutor>(lanes)
-        .seeded(9)
-        .build();
-    assert_eq!(exact.answer_many(&req, &db, 100).unwrap(), expect);
 }
 
 /// Pooled noise requests vs the fused batch sampler: the mechanism path
@@ -320,7 +321,6 @@ fn pooled_exact_session_is_exactly_accounted() {
 
     // Budget 16 admits exactly 64 answers at ε = 1/4.
     let mut session = Session::<PureDp>::builder()
-        .exact()
         .ledger(16.0)
         .executor::<RtExecutor>(lanes)
         .seeded(5)
@@ -361,7 +361,6 @@ fn pooled_per_principal_session_isolates_and_names_principals() {
     let req = Request::from_private(&p, "count"); // ε = 1/4 per answer
     let db = vec![0u8; 10];
     let mut session = Session::<PureDp>::builder()
-        .exact()
         .registry(1.0)
         .executor::<RtExecutor>(2)
         .seeded(7)
@@ -392,7 +391,6 @@ fn pooled_refusal_spends_nothing_and_draws_nothing() {
     let db = [0u8; 5];
     // Budget 3 (dyadic-exact), 2 lanes, 16 answers at ε = 1/4 cost 4.
     let mut session = Session::<PureDp>::builder()
-        .exact()
         .ledger(3.0)
         .executor::<RtExecutor>(2)
         .seeded(6)
@@ -420,31 +418,20 @@ fn os_entropy_sessions_serve_and_account_for_both_carriers() {
     let req = Request::from_private(&p, "count");
     let db = [0u8; 9];
 
-    let mut f64_session = Session::<PureDp>::builder()
+    let mut session = Session::<PureDp>::builder()
         .ledger(100.0)
         .inline()
         .entropy(Entropy::Os)
         .build();
-    let out = f64_session.answer_many(&req, &db, 40).unwrap();
-    assert_eq!(out.len(), 40);
-    assert!((f64_session.accountant().spent() - 10.0).abs() < 1e-9);
-
-    let mut exact_session = Session::<PureDp>::builder()
-        .exact()
-        .ledger(100.0)
-        .inline()
-        .entropy(Entropy::Os)
-        .build();
-    let out = exact_session.answer_many(&req, &db, 40).unwrap();
+    let out = session.answer_many(&req, &db, 40).unwrap();
     assert_eq!(out.len(), 40);
     assert_eq!(
-        exact_session.accountant().spent_exact(),
+        session.accountant().spent_exact(),
         &Dyadic::from_f64_ceil(10.0)
     );
 
-    // Pooled OS-entropy, exact accounting.
+    // Pooled OS-entropy.
     let mut pooled = Session::<PureDp>::builder()
-        .exact()
         .ledger(100.0)
         .executor::<RtExecutor>(2)
         .entropy(Entropy::Os)
@@ -457,8 +444,8 @@ fn os_entropy_sessions_serve_and_account_for_both_carriers() {
     );
 }
 
-/// Every builder chain compiles **and runs**: the full {carrier} ×
-/// {global accountant} × {executor} × {entropy} matrix. Per-principal
+/// Every builder chain compiles **and runs**: the full {global
+/// accountant} × {executor} × {entropy} matrix. Per-principal
 /// accountants serve through `answer_for` instead; a principal-less
 /// `answer` on them is a compile-fail doctest in `sampcert-core`'s
 /// session module.
@@ -478,20 +465,18 @@ fn builder_combination_matrix_compiles_and_runs() {
             let _ = one;
         }};
     }
-    macro_rules! carrier_entropy_cases {
+    macro_rules! entropy_cases {
         (($($acct:tt)*), ($($exec:tt)*)) => {
             drive!(Session::<PureDp>::builder().$($acct)*.$($exec)*.entropy(Entropy::Os));
             drive!(Session::<PureDp>::builder().$($acct)*.$($exec)*.seeded(3));
-            drive!(Session::<PureDp>::builder().exact().$($acct)*.$($exec)*.entropy(Entropy::Os));
-            drive!(Session::<PureDp>::builder().exact().$($acct)*.$($exec)*.seeded(3));
         };
     }
 
     // Global accountants × both executors.
-    carrier_entropy_cases!((ledger(1e6)), (inline()));
-    carrier_entropy_cases!((ledger(1e6)), (executor::<RtExecutor>(2)));
-    carrier_entropy_cases!((rdp(1e-6, 1e6)), (inline()));
-    carrier_entropy_cases!((rdp(1e-6, 1e6)), (executor::<RtExecutor>(2)));
+    entropy_cases!((ledger(1e6)), (inline()));
+    entropy_cases!((ledger(1e6)), (executor::<RtExecutor>(2)));
+    entropy_cases!((rdp(1e-6, 1e6)), (inline()));
+    entropy_cases!((rdp(1e-6, 1e6)), (executor::<RtExecutor>(2)));
 }
 
 /// A pooled RDP session is accounted exactly like an inline one: the
@@ -527,7 +512,6 @@ fn session_errors_chain_and_attribute() {
     let req = Request::from_private(&p, "count");
 
     let mut exact = Session::<PureDp>::builder()
-        .exact()
         .ledger(0.5)
         .inline()
         .seeded(1)
@@ -576,7 +560,6 @@ fn overflowing_batch_unit_count_is_refused_not_wrapped() {
     let db = [1u8, 2];
     let ledger = || {
         Session::<PureDp>::builder()
-            .exact()
             .ledger(1.0)
             .inline()
             .seeded(8)
@@ -594,7 +577,6 @@ fn overflowing_batch_unit_count_is_refused_not_wrapped() {
     assert_eq!(global.answer(&small, &db).unwrap(), first);
 
     let mut per_principal = Session::<PureDp>::builder()
-        .exact()
         .registry(1.0)
         .inline()
         .seeded(8)
@@ -623,7 +605,6 @@ fn per_principal_workload_refusal_is_attributed_and_draws_nothing() {
         .collect();
     let db: Vec<i64> = (0..20).collect();
     let mut session = Session::<PureDp>::builder()
-        .exact()
         .registry(1.0)
         .inline()
         .seeded(17)
