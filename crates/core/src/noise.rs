@@ -14,8 +14,7 @@ use crate::mechanism::Mechanism;
 use crate::query::Query;
 use sampcert_arith::Nat;
 use sampcert_samplers::pmf::{gaussian_mass, gaussian_radius, laplace_mass, laplace_radius};
-use sampcert_samplers::{discrete_gaussian, discrete_laplace, LaplaceAlg};
-use sampcert_slang::Sampling;
+use sampcert_samplers::{DiscreteSampler, LaplaceAlg};
 
 /// An abstract noising scheme for an [`AbstractDp`] notion
 /// (paper Listing 3).
@@ -61,14 +60,13 @@ fn laplace_noise_mechanism<T: 'static>(
     scale_num: &Nat,
     scale_den: u64,
 ) -> Mechanism<T, i64> {
-    let sampler =
-        discrete_laplace::<Sampling>(scale_num, &Nat::from(scale_den), LaplaceAlg::Switched);
+    let sampler = DiscreteSampler::laplace(scale_num, &Nat::from(scale_den), LaplaceAlg::Switched);
     let scale = scale_num.to_f64() / scale_den as f64;
     let radius = laplace_radius(scale);
     let q1 = query.clone();
     let q2 = query.clone();
     Mechanism::from_parts(
-        move |db, src| release(q1.eval(db), sampler.run(src)),
+        move |db, src| release(q1.eval(db), sampler.sample(src)),
         move |db| laplace_mass(scale, q2.eval(db), radius),
     )
 }
@@ -96,14 +94,13 @@ fn gaussian_noise_mechanism<T: 'static>(
     sigma_num: &Nat,
     sigma_den: u64,
 ) -> Mechanism<T, i64> {
-    let sampler =
-        discrete_gaussian::<Sampling>(sigma_num, &Nat::from(sigma_den), LaplaceAlg::Switched);
+    let sampler = DiscreteSampler::gaussian(sigma_num, &Nat::from(sigma_den), LaplaceAlg::Switched);
     let sigma2 = (sigma_num.to_f64() / sigma_den as f64).powi(2);
     let radius = gaussian_radius(sigma2);
     let q1 = query.clone();
     let q2 = query.clone();
     Mechanism::from_parts(
-        move |db, src| release(q1.eval(db), sampler.run(src)),
+        move |db, src| release(q1.eval(db), sampler.sample(src)),
         move |db| gaussian_mass(sigma2, q2.eval(db), radius),
     )
 }

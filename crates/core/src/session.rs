@@ -791,7 +791,7 @@ impl<B: Budget> RdpMeter<B> {
         let mut trial = self.acct.clone();
         trial.add_curve_n(|a| D::rdp_curve(gamma, a), count);
         let (eps, _) = trial.epsilon(self.delta);
-        if eps > self.budget_eps + 1e-12 {
+        if eps > self.budget_eps {
             return Err(eps);
         }
         Ok(trial)
@@ -1722,6 +1722,21 @@ mod tests {
         assert!(matches!(err, SessionError::Budget(_)));
         let (eps_after, _) = s.accountant().epsilon();
         assert_eq!(eps, eps_after);
+    }
+
+    /// The meter admits exactly what fits its ε budget: no slack, not
+    /// even 5e-13, over the ε one ε = 0.5 pure charge converts to.
+    #[test]
+    fn rdp_meter_refuses_a_charge_just_over_budget() {
+        let delta = 1e-6;
+        let mut probe = RdpMeter::<Dyadic>::new(delta, 1e6);
+        Accountant::<PureDp, Dyadic>::charge(&mut probe, "probe", 0.5, 1).unwrap();
+        let (eps, _) = probe.epsilon();
+        let mut tight = RdpMeter::<Dyadic>::new(delta, eps - 5e-13);
+        assert!(!Accountant::<PureDp, Dyadic>::can_admit(&tight, 0.5, 1));
+        assert!(Accountant::<PureDp, Dyadic>::charge(&mut tight, "over", 0.5, 1).is_err());
+        let mut exact = RdpMeter::<Dyadic>::new(delta, eps);
+        assert!(Accountant::<PureDp, Dyadic>::charge(&mut exact, "fits", 0.5, 1).is_ok());
     }
 
     #[test]

@@ -25,8 +25,8 @@
 use sampcert_arith::Nat;
 use sampcert_core::{Mechanism, Private, PureDp, Query};
 use sampcert_samplers::pmf::{laplace_cdf, laplace_pmf, laplace_radius};
-use sampcert_samplers::{discrete_laplace, LaplaceAlg};
-use sampcert_slang::{Sampling, SubPmf};
+use sampcert_samplers::{DiscreteSampler, LaplaceAlg};
+use sampcert_slang::SubPmf;
 use std::sync::Arc;
 
 /// Parameters of one AboveThreshold release.
@@ -121,15 +121,15 @@ pub fn above_threshold<T: 'static>(
     let (tn, td) = params.tau_scale();
     let (gn, gd) = params.guess_scale();
     let tau_sampler =
-        discrete_laplace::<Sampling>(&Nat::from(tn), &Nat::from(td), LaplaceAlg::Switched);
+        DiscreteSampler::laplace(&Nat::from(tn), &Nat::from(td), LaplaceAlg::Switched);
     let guess_sampler =
-        discrete_laplace::<Sampling>(&Nat::from(gn), &Nat::from(gd), LaplaceAlg::Switched);
+        DiscreteSampler::laplace(&Nat::from(gn), &Nat::from(gd), LaplaceAlg::Switched);
 
     let mech = Mechanism::from_parts(
         move |db, src| {
-            let tau = tau_sampler.run(src);
+            let tau = tau_sampler.sample(src);
             for (k, q) in queries.iter().enumerate() {
-                let guess = guess_sampler.run(src);
+                let guess = guess_sampler.sample(src);
                 if q.eval(db) + guess >= tau + params.threshold {
                     return k as u64;
                 }

@@ -20,6 +20,12 @@
 //! `root.stream(i)` (pinned by this crate's integration tests) — and all
 //! elasticity lives one level up, in the runtime's task scheduler.
 //!
+//! Lane 0 draws its chunk on the calling thread, and only the other
+//! lanes with a non-empty chunk get a scoped thread: a batch of fewer
+//! answers than lanes spawns fewer threads, and a one-answer batch
+//! spawns none. Streams are unchanged by this, since lane `i` still
+//! serves chunk `i` and a lane with no chunk draws nothing.
+//!
 //! The executor only draws. The session's accountant charges the whole
 //! batch before [`Executor::run_into`] is called, so a refused request
 //! never reaches a lane.
@@ -28,7 +34,7 @@ use sampcert_core::{Entropy, Executor, ExecutorFailure, Mechanism};
 use sampcert_slang::{ByteSource, OsByteSource, Value};
 
 /// One draw lane: a persistent byte stream owned by this executor and
-/// handed exclusively to one scoped thread per batch.
+/// handed exclusively to one thread per batch.
 struct Lane {
     src: Box<dyn ByteSource + Send>,
 }
@@ -64,34 +70,6 @@ impl RtExecutor {
             lanes: (0..lanes).map(|i| Lane { src: build(i) }).collect(),
         }
     }
-
-    /// Scoped-thread fan-out over the lanes, results in lane order. A
-    /// single lane serves inline on the calling thread, so one-lane
-    /// executors are a true sequential baseline.
-    fn fan_out<R, F>(&mut self, serve: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut Lane) -> R + Sync,
-    {
-        if self.lanes.len() == 1 {
-            return vec![serve(0, &mut self.lanes[0])];
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .lanes
-                .iter_mut()
-                .enumerate()
-                .map(|(i, lane)| {
-                    let serve = &serve;
-                    scope.spawn(move || serve(i, lane))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("draw lane panicked"))
-                .collect()
-        })
-    }
 }
 
 /// `spawn` lets `SessionBuilder::executor::<RtExecutor>(lanes)` build the
@@ -113,10 +91,33 @@ impl Executor for RtExecutor {
         out: &mut Vec<U>,
     ) -> Result<(), ExecutorFailure> {
         let chunks = sampcert_core::lane_partition(n, self.lanes.len());
-        let parts = self.fan_out(|i, lane| {
-            let mut part = Vec::new();
-            mech.run_many_into(db, chunks[i], &mut *lane.src, &mut part);
-            part
+        // Lane 0 draws on the calling thread, straight into `out`; only
+        // the other lanes with a non-empty chunk get a scoped thread, and
+        // a batch with no such lane opens no thread scope at all.
+        let (first, rest) = self.lanes.split_at_mut(1);
+        let first = &mut *first[0].src;
+        if chunks[1..].iter().all(|&len| len == 0) {
+            mech.run_many_into(db, chunks[0], first, out);
+            return Ok(());
+        }
+        let parts = std::thread::scope(|scope| {
+            let handles: Vec<_> = rest
+                .iter_mut()
+                .zip(&chunks[1..])
+                .filter(|(_, &len)| len > 0)
+                .map(|(lane, &len)| {
+                    scope.spawn(move || {
+                        let mut part = Vec::new();
+                        mech.run_many_into(db, len, &mut *lane.src, &mut part);
+                        part
+                    })
+                })
+                .collect();
+            mech.run_many_into(db, chunks[0], first, out);
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("draw lane panicked"))
+                .collect::<Vec<_>>()
         });
         for part in parts {
             out.extend(part);

@@ -69,6 +69,28 @@ fn rt_executor_equals_per_lane_sequential_replay() {
     }
 }
 
+/// A one-answer batch draws from lane 0's stream only (on the calling
+/// thread) and leaves lanes 1..3 untouched: a following 4-answer batch
+/// still equals the per-lane replay, with lanes 1..3 at their first draw.
+#[test]
+fn single_answer_batch_draws_lane_zero_only() {
+    let req = count_request();
+    let db: Vec<u32> = (0..64).collect();
+    let mut ex = RtExecutor::new(Entropy::seeded(ROOT), 4);
+    let mut replay = LaneReplay::new(ROOT, 4);
+    let mut lane0 = SplitSeed::new(ROOT).stream(0);
+    let mut one = Vec::new();
+    ex.run_into(req.mechanism(), &db, 1, &mut one).unwrap();
+    assert_eq!(one, req.mechanism().run_many(&db, 1, &mut lane0));
+    assert_eq!(one, replay.serve(req.mechanism(), &db, 1));
+    let mut four = Vec::new();
+    ex.run_into(req.mechanism(), &db, 4, &mut four).unwrap();
+    assert_eq!(four, replay.serve(req.mechanism(), &db, 4));
+    let mut fresh = LaneReplay::new(ROOT, 4);
+    let untouched = fresh.serve(req.mechanism(), &db, 4);
+    assert_eq!(four[1..], untouched[1..], "lanes 1..3 drew before");
+}
+
 /// One lane of the runtime executor is the sequential baseline: it is
 /// the `Inline` executor, byte for byte.
 #[test]

@@ -1,95 +1,36 @@
-//! Batched noise constructors: build the program once, draw many times.
+//! Batched noise constructors: build the sampler once, draw many times.
 //!
 //! The paper's headline evaluation (Fig. 4) is about *throughput*: verified
-//! samplers fast enough to serve production noise. A serving loop that
-//! reconstructs the sampler — or even just re-enters the generic
-//! program tree — per draw leaves most of that throughput on the table.
-//! The `*_many` constructors here amortize everything amortizable across a
-//! batch of `n` i.i.d. draws:
+//! samplers fast enough to serve production noise. The `*_many`
+//! constructors here amortize everything amortizable across a batch of
+//! `n` i.i.d. draws:
 //!
-//! - **program construction** happens once per batch, not once per draw
-//!   (`⌊σ⌋`, squared parameters, the closure tree);
-//! - **execution** goes through the fused fast path
-//!   ([`FusedGaussian`](crate::FusedGaussian) /
-//!   [`FusedLaplace`](crate::FusedLaplace) / the `u128` uniform loop)
-//!   whenever the parameters sit safely inside its machine-word regime
-//!   (a conservative `2²⁶` box for the Gaussian — see
-//!   `FUSED_GAUSS_LIMIT`); parameters outside it run the **compiled
-//!   tier** — the extracted bytecode from `sampcert_extract`, compiled
-//!   once per parameter box (see [`compiled`](crate::compiled)) and
-//!   executed on the stack VM — and only when a parameter is implausibly
-//!   wide (see `COMPILED_BITS_LIMIT`) or the VM reports an arithmetic
-//!   fault does the batch fall back to the general `SLang` program,
-//!   drawn via [`run_into`](sampcert_slang::SLang::run_into);
+//! - **sampler construction and tier dispatch** happen once per batch:
+//!   the Laplace and Gaussian batches draw through one
+//!   [`DiscreteSampler`], the prebuilt sampler every noise mechanism
+//!   uses, and the uniform batch picks its tier by the same rules (see
+//!   [`dispatch`](crate::dispatch));
 //! - **output allocation** is reused: every function has a `*_into`
 //!   variant appending to a caller-retained buffer.
 //!
 //! Batching is invisible to the distribution *and* to the entropy stream:
 //! each `*_many` consumes exactly the bytes that `n` sequential
 //! single-draw `run`s would, and produces exactly the same values — pinned
-//! by the equality tests below (the fused/monadic byte equality is
-//! established in [`direct`](crate::FusedGaussian)'s tests, and re-checked
-//! here through the batch entry points).
+//! by the equality tests below.
 
-use crate::compiled::{self, value_to_i64, value_to_nat};
-use crate::direct::{uniform_below_u128, FusedGaussian, FusedLaplace};
-use crate::gaussian::discrete_gaussian;
-use crate::laplace::{discrete_laplace, LaplaceAlg};
+use crate::compiled::{self, value_to_nat};
+use crate::direct::uniform_below_u128;
+use crate::dispatch::{compiled_draws_into, DiscreteSampler, COMPILED_BITS_LIMIT};
+use crate::laplace::LaplaceAlg;
 use crate::uniform::uniform_below;
 use sampcert_arith::Nat;
-use sampcert_extract::{Value, Vm};
+use sampcert_extract::Vm;
 use sampcert_slang::{ByteSource, Sampling};
-
-/// Upper bound (exclusive) on `num` *and* `den` for dispatching to the
-/// fused Gaussian fast path.
-///
-/// Deliberately tighter than [`FusedGaussian::new`]'s own `num < 2³²`
-/// admission: with both parameters below 2²⁶, every intermediate in the
-/// fused acceptance test (`2·num²·t²·den²` and the squared difference,
-/// whose extreme is `(|Y|·t·den²)²`) stays far inside `u128` for any
-/// remotely reachable `|Y|`, so the fast path cannot hit the fused
-/// sampler's checked-overflow aborts on parameters the general `SLang`
-/// program handles fine — which would break the batch-equals-sequential
-/// contract. Parameters outside the box take the general program.
-const FUSED_GAUSS_LIMIT: u64 = 1 << 26;
-
-/// Upper bound (inclusive) on a parameter's bit length for dispatching to
-/// the compiled-bytecode tier.
-///
-/// The compiled tier embeds the parameters (and, for the Gaussian, their
-/// squares and the acceptance bound `2·num²·t²·den²`) as constants in the
-/// cached bytecode, so cache memory and compile time grow with the
-/// parameter width. A megabit per parameter covers every plausible noise
-/// scale — the differential suite runs 128-limb (8192-bit) parameters
-/// through this tier — while keeping the cache bounded against
-/// adversarially wide inputs, which take the (allocation-free-to-build)
-/// general program instead.
-const COMPILED_BITS_LIMIT: u64 = 1 << 20;
-
-/// Runs `n` draws on the compiled VM, converting each result with
-/// `convert`; if the VM faults (it cannot on the registered sampler
-/// programs — this is defense in depth), the remaining draws are handed
-/// to `fallback`.
-fn compiled_draws_into<T>(
-    vm: &Vm,
-    n: usize,
-    src: &mut dyn ByteSource,
-    out: &mut Vec<T>,
-    convert: impl Fn(&Value) -> T,
-    fallback: impl FnOnce(usize, &mut dyn ByteSource, &mut Vec<T>),
-) {
-    for i in 0..n {
-        match vm.try_run(src) {
-            Ok(v) => out.push(convert(&v)),
-            Err(_) => return fallback(n - i, src, out),
-        }
-    }
-}
 
 /// Draws `n` i.i.d. discrete Gaussian samples `N_ℤ(0, (num/den)²)`,
 /// appending them to `out`.
 ///
-/// Builds the sampler once and reuses it for the whole batch; see the
+/// One [`DiscreteSampler::gaussian`] serves the whole batch; see the
 /// module-level docs above for the amortization and byte-stream
 /// contract.
 ///
@@ -104,26 +45,7 @@ pub fn discrete_gaussian_many_into(
     src: &mut dyn ByteSource,
     out: &mut Vec<i64>,
 ) {
-    assert!(
-        !num.is_zero() && !den.is_zero(),
-        "discrete_gaussian: zero sigma parameter"
-    );
-    out.reserve(n);
-    match (num.to_u64(), den.to_u64()) {
-        (Some(nu), Some(de)) if nu < FUSED_GAUSS_LIMIT && de < FUSED_GAUSS_LIMIT => {
-            let g = FusedGaussian::new(nu, de, alg);
-            for _ in 0..n {
-                out.push(g.sample(src));
-            }
-        }
-        _ if num.bit_length() <= COMPILED_BITS_LIMIT && den.bit_length() <= COMPILED_BITS_LIMIT => {
-            let vm = Vm::shared(compiled::gaussian_bytecode(num, den, alg));
-            compiled_draws_into(&vm, n, src, out, value_to_i64, |rest, src, out| {
-                discrete_gaussian::<Sampling>(num, den, alg).run_into(rest, src, out);
-            });
-        }
-        _ => discrete_gaussian::<Sampling>(num, den, alg).run_into(n, src, out),
-    }
+    DiscreteSampler::gaussian(num, den, alg).sample_into(n, src, out);
 }
 
 /// Draws `n` i.i.d. discrete Gaussian samples `N_ℤ(0, (num/den)²)`.
@@ -175,26 +97,7 @@ pub fn discrete_laplace_many_into(
     src: &mut dyn ByteSource,
     out: &mut Vec<i64>,
 ) {
-    assert!(
-        !num.is_zero() && !den.is_zero(),
-        "discrete_laplace: zero scale parameter"
-    );
-    out.reserve(n);
-    match (num.to_u64(), den.to_u64()) {
-        (Some(nu), Some(de)) => {
-            let l = FusedLaplace::new(nu, de, alg);
-            for _ in 0..n {
-                out.push(l.sample(src));
-            }
-        }
-        _ if num.bit_length() <= COMPILED_BITS_LIMIT && den.bit_length() <= COMPILED_BITS_LIMIT => {
-            let vm = Vm::shared(compiled::laplace_bytecode(num, den, alg));
-            compiled_draws_into(&vm, n, src, out, value_to_i64, |rest, src, out| {
-                discrete_laplace::<Sampling>(num, den, alg).run_into(rest, src, out);
-            });
-        }
-        _ => discrete_laplace::<Sampling>(num, den, alg).run_into(n, src, out),
-    }
+    DiscreteSampler::laplace(num, den, alg).sample_into(n, src, out);
 }
 
 /// Draws `n` i.i.d. discrete Laplace samples with scale `num/den`.
@@ -289,6 +192,8 @@ pub fn uniform_below_many(bound: &Nat, n: usize, src: &mut dyn ByteSource) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gaussian::discrete_gaussian;
+    use crate::laplace::discrete_laplace;
     use sampcert_slang::{CountingByteSource, SeededByteSource};
 
     fn nat(v: u64) -> Nat {

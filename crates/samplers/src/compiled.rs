@@ -1,7 +1,8 @@
 //! The compiled middle tier: parameter-keyed bytecode cache.
 //!
-//! The batch entry points dispatch across three executions of the *same*
-//! sampler (all byte-stream-equal):
+//! [`DiscreteSampler`](crate::DiscreteSampler) and the uniform batch
+//! dispatch across three executions of the *same* sampler (all
+//! byte-stream-equal):
 //!
 //! 1. the hand-fused `u128` loops ([`FusedLaplace`](crate::FusedLaplace) /
 //!    [`FusedGaussian`](crate::FusedGaussian)) for word-sized parameters,

@@ -37,6 +37,7 @@ mod batch;
 mod bernoulli;
 mod compiled;
 mod direct;
+mod dispatch;
 mod gaussian;
 mod geometric;
 mod helpers;
@@ -50,6 +51,7 @@ pub use batch::{
 };
 pub use bernoulli::{bernoulli, bernoulli_exp_neg, bernoulli_exp_neg_unit};
 pub use direct::{FusedGaussian, FusedLaplace};
+pub use dispatch::DiscreteSampler;
 pub use gaussian::{discrete_gaussian, discrete_gaussian_shifted, gaussian_loop};
 pub use geometric::{geometric, geometric_pmf};
 pub use laplace::{

@@ -10,10 +10,13 @@
 use proptest::prelude::*;
 use sampcert::arith::{Dyadic, Nat};
 use sampcert::core::{
-    count_query, DpNoise, Ledger, Private, PureDp, Query, RdpAccountant, Request, Session,
-    SessionError, Zcdp,
+    count_query, lane_partition, DpNoise, Ledger, Private, PureDp, Query, RdpAccountant, Request,
+    Session, SessionError, Zcdp,
 };
-use sampcert::mechanisms::{histogram_request, noised_histogram, workload_request, Bins};
+use sampcert::mechanisms::{
+    histogram_request, noised_bounded_sum, noised_histogram, workload_request, Bins,
+};
+use sampcert::rt::RtExecutor;
 use sampcert::samplers::{discrete_gaussian, discrete_gaussian_many, LaplaceAlg};
 use sampcert::slang::{CountingByteSource, Sampling, SeededByteSource, SplitSeed};
 
@@ -185,6 +188,51 @@ fn refused_histogram_batch_spends_nothing_and_draws_nothing() {
         assert_eq!(hist, &compositional.run(&db, &mut replay), "round {round}");
     }
     assert_eq!(session.accountant().remaining_exact(), Dyadic::zero());
+}
+
+/// A pooled session draws every answer on the fast tiers and still
+/// releases exactly the per-lane replay of the monadic programs: a
+/// histogram (per-bin σ = 64, fused tier) on lane 0, then a bounded sum
+/// at σ = 1000·2¹⁷ (past 2²⁶, compiled tier) split over the four lanes.
+#[test]
+fn pooled_session_on_fast_tiers_equals_monadic_lane_replay() {
+    const ROOT: u64 = 0x5EED_0031;
+    let bins = Bins::new(16, |v: &u32| *v as usize % 16);
+    let hist_db: Vec<u32> = (0..500).map(|i| i * 7).collect();
+    let sum_db: Vec<i64> = (0..300).map(|i| i * 3 % 1001).collect();
+    let hist = histogram_request::<Zcdp, u32>(&bins, 1, 4);
+    let wide = Request::from_private(&noised_bounded_sum::<Zcdp>(0, 1000, 1, 1 << 17), "wide");
+    let mut session = Session::<Zcdp>::builder()
+        .exact()
+        .ledger(1e12)
+        .executor::<RtExecutor>(4)
+        .seeded(ROOT)
+        .build();
+    let got_hist = session.answer(&hist, &hist_db).unwrap();
+    let got_wide = session.answer_many(&wide, &sum_db, 9).unwrap();
+
+    let root = SplitSeed::new(ROOT);
+    let mut lanes: Vec<_> = (0..4).map(|i| root.stream(i)).collect();
+    let gaussian = |sigma: u64| {
+        discrete_gaussian::<Sampling>(&Nat::from(sigma), &Nat::one(), LaplaceAlg::Switched)
+    };
+    let bin_noise = gaussian(64);
+    let mut expect_hist = vec![0i64; 16];
+    for v in &hist_db {
+        expect_hist[*v as usize % 16] += 1;
+    }
+    for b in (0..16).rev() {
+        expect_hist[b] += bin_noise.run(&mut lanes[0]);
+    }
+    assert_eq!(got_hist, expect_hist);
+
+    let sum: i64 = sum_db.iter().sum();
+    let wide_noise = gaussian(1000 << 17);
+    let mut expect_wide = Vec::new();
+    for (lane, len) in lanes.iter_mut().zip(lane_partition(9, 4)) {
+        expect_wide.extend((0..len).map(|_| sum + wide_noise.run(lane)));
+    }
+    assert_eq!(got_wide, expect_wide);
 }
 
 /// One `answer_many` on a fresh exact ledger, then the batch that fills
